@@ -4,7 +4,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: build vet fmt staticcheck lint lint-debt lint-sarif test race bench bench-smoke bench-json bench-compare scale-smoke determinism faults-smoke trace-smoke fleet-smoke ci
+.PHONY: build vet fmt staticcheck lint lint-debt lint-sarif test race bench bench-smoke bench-json bench-compare scale-smoke determinism faults-smoke trace-smoke fleet-smoke perfbench-check ci
 
 build:
 	$(GO) build ./...
@@ -57,7 +57,7 @@ bench:
 # catches benchmarks that panic or fail setup without paying for stable
 # timings.
 bench-smoke:
-	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' ./internal/core ./internal/cache ./internal/iosched ./internal/trace ./internal/fleet
+	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' ./internal/core ./internal/cache ./internal/iosched ./internal/trace ./internal/fleet ./internal/workload ./internal/apps/wcapp ./internal/vfs
 
 # bench-json regenerates BENCH_10.json, the committed snapshot of the
 # query/cache/iosched/trace/fleet microbenchmarks and the root figure
@@ -148,4 +148,13 @@ faults-smoke: vet
 	$(GO) run ./cmd/sledsbench -scale quick -exp efaults -runs 2 -faults heavy > /dev/null
 	@echo "faults-smoke: efaults completed with heavy injection on every device"
 
-ci: build vet fmt staticcheck lint test race bench-smoke bench-compare scale-smoke determinism faults-smoke trace-smoke fleet-smoke
+# perfbench-check covers the benchmark module. perfbench/ is its own Go
+# module, so `make test` and `make lint` never compile it: this target
+# runs its tests and sledlint over it, then a 2-second scan run whose
+# JSON result must report a correct answer.
+perfbench-check:
+	cd perfbench && $(GO) test ./... && $(GO) run sleds/cmd/sledlint -tests ./...
+	bash perfbench/run.sh --workload scan --seed 1 --seconds 2 --trace 0 | grep -q '"correct":true'
+	@echo "perfbench-check: perfbench tests and lint pass; a 2 s scan run is correct"
+
+ci: build vet fmt staticcheck lint test race bench-smoke bench-compare scale-smoke determinism faults-smoke trace-smoke fleet-smoke perfbench-check

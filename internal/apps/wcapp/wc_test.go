@@ -213,3 +213,72 @@ func TestAgreementProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// countChunkRef is the byte-at-a-time counter countChunk replaced, kept
+// verbatim as the oracle for the table-driven loop.
+func countChunkRef(p []byte) (lines, words int64, startsNonSpace, endsNonSpace bool) {
+	inWord := false
+	for _, c := range p {
+		if c == '\n' {
+			lines++
+		}
+		if isSpace(c) {
+			inWord = false
+		} else if !inWord {
+			inWord = true
+			words++
+		}
+	}
+	if len(p) > 0 {
+		startsNonSpace = !isSpace(p[0])
+		endsNonSpace = !isSpace(p[len(p)-1])
+	}
+	return
+}
+
+// separators are wc's default word separators, spelled out independently
+// of the table countChunk reads.
+const separators = " \t\n\v\f\r\x00"
+
+func TestSeparatorTable(t *testing.T) {
+	for c := 0; c < 256; c++ {
+		want := bytes.IndexByte([]byte(separators), byte(c)) >= 0
+		if got := isSpace(byte(c)); got != want {
+			t.Errorf("isSpace(%#02x) = %v, want %v", c, got, want)
+		}
+	}
+}
+
+func FuzzCountChunk(f *testing.F) {
+	all := make([]byte, 256)
+	for i := range all {
+		all[i] = byte(i)
+		f.Add([]byte{byte(i)})
+		f.Add([]byte{'a', byte(i), 'b'})
+	}
+	f.Add(all)
+	for i := 0; i < len(separators); i++ {
+		f.Add([]byte("word" + separators[i:i+1] + "word"))
+		f.Add([]byte(separators[i:i+1] + "x" + separators[i:i+1]))
+	}
+	f.Add([]byte(""))
+	f.Add([]byte("one two\nthree  four\t\tfive\n"))
+	f.Fuzz(func(t *testing.T, p []byte) {
+		l, w, s, e := countChunk(p)
+		rl, rw, rs, re := countChunkRef(p)
+		if l != rl || w != rw || s != rs || e != re {
+			t.Fatalf("countChunk(%q) = %d,%d,%v,%v; reference %d,%d,%v,%v", p, l, w, s, e, rl, rw, rs, re)
+		}
+	})
+}
+
+func BenchmarkCountChunk(b *testing.B) {
+	c := workload.NewText(1, 16<<10, apptest.PageSize)
+	p := c.ReadAll()
+	b.SetBytes(int64(len(p)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		countChunk(p)
+	}
+}

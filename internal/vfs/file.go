@@ -224,29 +224,23 @@ func (f *File) readAtStep(p []byte, off int64, chargeCopy bool, done func(n int6
 	return loop()
 }
 
-// ensureResident returns the cached data for a page, faulting it (and, if
-// the immediately following pages are part of the same request or covered
-// by configured readahead, a cluster) in from the device.
+// ensureResidentStep hands done the cached data for a page, faulting it
+// (and, if the immediately following pages are part of the same request or
+// covered by configured readahead, a cluster) in from the device.
 //
 // remaining is how many more bytes the current read() still needs from
 // this page onward; contiguous missing pages within that window are
 // fetched in a single device request, which is how the real kernel
 // clusters paging I/O.
 //
-// A device fault is retried per the kernel's RetryPolicy; the returned
-// error (wrapping ErrIO) means the policy gave up.
-func (f *File) ensureResident(page, remaining int64) ([]byte, error) {
-	var out []byte
-	_, err := mustComplete(f.ensureResidentStep(page, remaining, func(data []byte, err error) IOStep {
-		out = data
-		return ioDone(0, err)
-	}), "page fault")
-	return out, err
-}
-
-// ensureResidentStep is ensureResident in resumable form: the cluster
-// computation is synchronous, the device access and the per-page inserts
-// (whose evictions may suspend on write-back) are continuations.
+// A device fault is retried per the kernel's RetryPolicy; an error
+// (wrapping ErrIO) means the policy gave up. The step is resumable: the
+// cluster computation is synchronous, the device access and the per-page
+// inserts (whose evictions may suspend on write-back) are continuations.
+//
+// The data aliases a cache frame, valid only until the next cache
+// mutation: done must consume it before it inserts or evicts anything,
+// because evicted frames are recycled (see Kernel.newFrame).
 func (f *File) ensureResidentStep(page, remaining int64, done func(data []byte, err error) IOStep) IOStep {
 	k := f.k
 	key := cache.Key{File: uint64(f.ino.ino), Page: page}
@@ -335,7 +329,7 @@ func (f *File) ensureResidentStep(page, remaining int64, done func(data []byte, 
 				}
 				return done(data, nil)
 			}
-			buf := make([]byte, ps)
+			buf := k.newFrame()
 			f.ino.content.ReadPage(q, buf)
 			qk := cache.Key{File: uint64(f.ino.ino), Page: q}
 			return k.insertStep(qk, buf, false, func(err error) IOStep {

@@ -175,6 +175,11 @@ type Kernel struct {
 	// mutation's drain point writes them back (see resume.go).
 	wb []wbItem
 
+	// free holds evicted page frames for the fault and prefetch paths to
+	// refill (see newFrame): clean frames on eviction, dirty ones once
+	// their write-back has copied them into the file's content.
+	free [][]byte
+
 	stats RunStats
 }
 
@@ -308,19 +313,41 @@ func (k *Kernel) deviceAccess(fn func() error) error {
 // Eviction is asynchronous write-back — there is no one to return an error
 // to — so a write-back that still fails after retries is counted
 // (WritebackEIOs) and the page dropped, as a real kernel's failed async
-// write-back ends up doing.
+// write-back ends up doing. Clean frames go straight to the free list.
 func (k *Kernel) onEvict(key cache.Key, data []byte, dirty bool) {
 	// An evicted page can no longer be served by its in-flight prefetch.
 	delete(k.pending, key)
 	if !dirty {
+		k.recycleFrame(data)
 		return
 	}
 	ino, ok := k.inodes[Ino(key.File)]
 	if !ok {
 		// File deleted with dirty pages still cached; drop them.
+		k.recycleFrame(data)
 		return
 	}
 	k.wb = append(k.wb, wbItem{ino: ino, page: key.Page, data: data})
+}
+
+// newFrame returns a page frame for a caller that overwrites all of it
+// (Content.ReadPage does): a recycled frame when one is free, else a fresh
+// one.
+func (k *Kernel) newFrame() []byte {
+	if n := len(k.free); n > 0 {
+		buf := k.free[n-1]
+		k.free = k.free[:n-1]
+		return buf
+	}
+	return make([]byte, k.cfg.PageSize)
+}
+
+// recycleFrame puts a frame nothing references any more on the free list,
+// which never holds more than a cache's worth of frames.
+func (k *Kernel) recycleFrame(buf []byte) {
+	if len(k.free) < k.cache.Cap() {
+		k.free = append(k.free, buf)
+	}
 }
 
 // writePageToDevice stores page data into the inode's content and charges

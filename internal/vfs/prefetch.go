@@ -117,7 +117,7 @@ func (k *Kernel) schedulePrefetch(dev device.Device, n *Inode, page, run int64) 
 	}
 
 	for q := page; q < page+run; q++ {
-		buf := make([]byte, ps)
+		buf := k.newFrame()
 		n.content.ReadPage(q, buf)
 		key := cache.Key{File: uint64(n.ino), Page: q}
 		if k.insertPage(key, buf, false) != nil {

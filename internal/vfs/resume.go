@@ -162,8 +162,13 @@ type wbItem struct {
 
 // drainWritebacks writes back every queued evicted dirty page, then
 // continues with done. Eviction is asynchronous write-back — failures are
-// accounted in WritebackEIOs by writePageStep and otherwise dropped.
+// accounted in WritebackEIOs by writePageStep and otherwise dropped. A
+// written-back frame is recycled: writePageStep copied it into the file's
+// content before issuing the device write.
 func (k *Kernel) drainWritebacks(done func() IOStep) IOStep {
+	if len(k.wb) == 0 {
+		return done()
+	}
 	var next func() IOStep
 	next = func() IOStep {
 		if len(k.wb) == 0 {
@@ -172,6 +177,7 @@ func (k *Kernel) drainWritebacks(done func() IOStep) IOStep {
 		item := k.wb[0]
 		k.wb = k.wb[1:]
 		return k.writePageStep(item.ino, item.page, item.data, func(error) IOStep {
+			k.recycleFrame(item.data)
 			return next()
 		})
 	}

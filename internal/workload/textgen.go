@@ -1,6 +1,9 @@
 package workload
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Deterministic pseudo-text generation. Each page is generated
 // independently from (seed, page) with a splitmix64 stream, so any page
@@ -9,8 +12,9 @@ import "fmt"
 
 // lexicon is a small pool of lowercase words; none of them contains the
 // grep experiment's needle ("xyzzy..."), so planted matches are the only
-// matches.
-var lexicon = []string{
+// matches. It is an array so the per-word `% len(lexicon)` compiles to a
+// multiply by a constant rather than a divide.
+var lexicon = [...]string{
 	"the", "quick", "brown", "fox", "jumps", "over", "lazy", "dog",
 	"storage", "latency", "estimation", "descriptor", "cache", "page",
 	"fault", "disk", "tape", "mount", "seek", "transfer", "bandwidth",
@@ -18,6 +22,25 @@ var lexicon = []string{
 	"system", "buffer", "linear", "pass", "reorder", "prune", "report",
 	"astronomy", "image", "histogram", "rebin", "pixel", "header", "unit",
 }
+
+// packedWord is a lexicon word packed little-endian into 16 zero-padded
+// bytes, so TextGen can emit it with two unconditional 8-byte stores.
+type packedWord struct {
+	lo, hi uint64
+	n      int
+}
+
+// packed holds lexicon[i] packed at index i. The longest word is 10
+// bytes; a word over 16 would not fit, and TestTextGenMatchesReference
+// would fail.
+var packed = func() (out [len(lexicon)]packedWord) {
+	for i, w := range lexicon {
+		var b [16]byte
+		copy(b[:], w)
+		out[i] = packedWord{lo: binary.LittleEndian.Uint64(b[:8]), hi: binary.LittleEndian.Uint64(b[8:]), n: len(w)}
+	}
+	return out
+}()
 
 // splitmix64 advances x and returns a well-mixed 64-bit value.
 func splitmix64(x *uint64) uint64 {
@@ -31,6 +54,14 @@ func splitmix64(x *uint64) uint64 {
 // TextGen returns a PageGen producing line-oriented pseudo-text: words from
 // the lexicon separated by single spaces, newlines roughly every 50-70
 // bytes. Page content depends only on (seed, page).
+//
+// The stream draws one splitmix64 value per word and then, unless the
+// word reached the end of the page, one per separator (a newline once the
+// line is at least 50 plus the draw mod 20 bytes long, else a space).
+// While at least 17 bytes of the page remain, a word is written with one
+// 16-byte store: the word and its separator fit, and the zero padding
+// past the word is overwritten by the separator and the words after it.
+// Nearer the end of the page, words are copied.
 func TextGen(seed uint64) PageGen {
 	return func(page int64, buf []byte) {
 		state := seed ^ (uint64(page)+1)*0x9e3779b97f4a7c15
@@ -40,12 +71,18 @@ func TextGen(seed uint64) PageGen {
 		lineLen := 0
 		i := 0
 		for i < len(buf) {
-			w := lexicon[splitmix64(&state)%uint64(len(lexicon))]
-			for j := 0; j < len(w) && i < len(buf); j++ {
-				buf[i] = w[j]
-				i++
-				lineLen++
+			k := splitmix64(&state) % uint64(len(lexicon))
+			var n int
+			if len(buf)-i > 16 {
+				w := &packed[k]
+				binary.LittleEndian.PutUint64(buf[i:], w.lo)
+				binary.LittleEndian.PutUint64(buf[i+8:], w.hi)
+				n = w.n
+			} else {
+				n = copy(buf[i:], lexicon[k])
 			}
+			i += n
+			lineLen += n
 			if i >= len(buf) {
 				break
 			}
