@@ -57,29 +57,29 @@ bench:
 # catches benchmarks that panic or fail setup without paying for stable
 # timings.
 bench-smoke:
-	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' ./internal/core ./internal/cache ./internal/iosched ./internal/trace ./internal/fleet ./internal/workload ./internal/apps/wcapp ./internal/vfs
+	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' ./internal/core ./internal/cache ./internal/iosched ./internal/trace ./internal/fleet ./internal/remote ./internal/workload ./internal/apps/wcapp ./internal/vfs
 
-# bench-json regenerates BENCH_10.json, the committed snapshot of the
-# query/cache/iosched/trace/fleet microbenchmarks and the root figure
-# benchmarks, as a JSON map of benchmark name to ns/op, B/op, allocs/op
-# and ReportMetric figures. Timings vary by machine; the snapshot exists
-# to pin the alloc counts (which bench-compare gates) and record the
-# measured speedups at authoring time. Run it on a bench-suite change
-# and commit the result. BENCH_5.json through BENCH_8.json are the
-# frozen PR-5..PR-8 snapshots; leave them be.
+# bench-json regenerates BENCH_13.json, the committed snapshot of the
+# query/cache/iosched/trace/fleet/remote microbenchmarks and the root
+# figure benchmarks, as a JSON map of benchmark name to ns/op, B/op,
+# allocs/op and ReportMetric figures. Timings vary by machine; the
+# snapshot exists to pin the alloc counts (which bench-compare gates) and
+# record the measured speedups at authoring time. Run it on a bench-suite
+# change and commit the result. BENCH_5.json through BENCH_10.json are
+# the frozen earlier snapshots; leave them be.
 bench-json:
-	{ $(GO) test -bench=. -benchmem -run='^$$' ./internal/core ./internal/cache ./internal/iosched ./internal/trace ./internal/fleet; \
-	  $(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' .; } | $(GO) run ./cmd/benchjson > BENCH_10.json
-	@echo "bench-json: wrote BENCH_10.json"
+	{ $(GO) test -bench=. -benchmem -run='^$$' ./internal/core ./internal/cache ./internal/iosched ./internal/trace ./internal/fleet ./internal/remote; \
+	  $(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' .; } | $(GO) run ./cmd/benchjson > BENCH_13.json
+	@echo "bench-json: wrote BENCH_13.json"
 
 # bench-compare reruns the bench-json suite and gates it against the
-# committed BENCH_10.json snapshot: every benchmark in the snapshot must
+# committed BENCH_13.json snapshot: every benchmark in the snapshot must
 # still exist, and allocs/op may not grow more than 25%. Only alloc
 # counts are gated — they are deterministic for these workloads, while
 # ns/op on shared CI runners is noise.
 bench-compare:
-	{ $(GO) test -bench=. -benchmem -run='^$$' ./internal/core ./internal/cache ./internal/iosched ./internal/trace ./internal/fleet; \
-	  $(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' .; } | $(GO) run ./cmd/benchjson -compare BENCH_10.json -tolerance 0.25
+	{ $(GO) test -bench=. -benchmem -run='^$$' ./internal/core ./internal/cache ./internal/iosched ./internal/trace ./internal/fleet ./internal/remote; \
+	  $(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' .; } | $(GO) run ./cmd/benchjson -compare BENCH_13.json -tolerance 0.25
 
 # scale-smoke proves the event-heap engine at full width: the escale
 # experiment (up to 10,000 streams over 24 queued disks, fcfs and sstf)

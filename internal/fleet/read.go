@@ -79,7 +79,8 @@ type Read struct {
 	policy Policy
 	off, n int64
 
-	attempts []int // per-replica attempts consumed this read
+	attempts []int  // per-replica attempts consumed this read
+	mask     []bool // per-replica retry eligibility, refreshed by eligible
 	backoff  simclock.Duration
 	target   int  // replica index of the attempt in flight
 	hedgeTo  int  // secondary's replica index, -1 when not hedged
@@ -92,21 +93,35 @@ type Read struct {
 	Attempts int       // attempts issued (1 = first try succeeded)
 	Hedged   bool      // any attempt's hedge deadline fired
 	Failed   int       // faulted completions absorbed by failover
+
+	// Backing arrays for attempts and mask on fleets of up to
+	// inlineReplicas replicas, so a read is one allocation.
+	inlineAttempts [inlineReplicas]int
+	inlineMask     [inlineReplicas]bool
 }
+
+// inlineReplicas is the largest fleet whose per-read scratch lives inside
+// the Read itself.
+const inlineReplicas = 8
 
 // StartRead begins one logical read of [off, off+n) under the policy.
 // The zero-valued read issues its first Op at the first Step call.
 func (f *Fleet) StartRead(policy Policy, off, n int64) *Read {
-	return &Read{
-		f:        f,
-		policy:   policy,
-		off:      off,
-		n:        n,
-		attempts: make([]int, len(f.replicas)),
-		backoff:  f.cfg.Retry.Backoff,
-		target:   -1,
-		hedgeTo:  -1,
+	r := &Read{
+		f:       f,
+		policy:  policy,
+		off:     off,
+		n:       n,
+		backoff: f.cfg.Retry.Backoff,
+		target:  -1,
+		hedgeTo: -1,
 	}
+	if nr := len(f.replicas); nr <= inlineReplicas {
+		r.attempts, r.mask = r.inlineAttempts[:nr], r.inlineMask[:nr]
+	} else {
+		r.attempts, r.mask = make([]int, nr), make([]bool, nr)
+	}
+	return r
 }
 
 // replicaByDev maps a completion's device ID back to its replica index
@@ -120,16 +135,14 @@ func (f *Fleet) replicaByDev(id device.ID) int {
 	return -1
 }
 
-// eligible reports which replicas still have retry budget this read.
+// eligible reports which replicas still have retry budget this read. The
+// mask is the read's own scratch, valid until the next call.
 func (r *Read) eligible() (mask []bool, any bool) {
-	mask = make([]bool, len(r.attempts))
 	for i, a := range r.attempts {
-		if a < r.f.cfg.Retry.MaxAttempts {
-			mask[i] = true
-			any = true
-		}
+		r.mask[i] = a < r.f.cfg.Retry.MaxAttempts
+		any = any || r.mask[i]
 	}
-	return mask, any
+	return r.mask, any
 }
 
 // Step feeds the outcome of the previously returned Op (the zero Result

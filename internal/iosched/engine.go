@@ -34,6 +34,7 @@
 package iosched
 
 import (
+	"errors"
 	"fmt"
 
 	"sleds/internal/device"
@@ -63,7 +64,8 @@ const (
 // (stream → engine: what it blocked on).
 type stream struct {
 	id     StreamID
-	clock  *simclock.Clock
+	h      Handle            // passed to every Step (and to fn)
+	clock  simclock.Clock    // the stream's virtual time; Run resets it
 	start  simclock.Duration // virtual start offset from the engine base
 	prog   Program
 	fn     func(h *Handle) error
@@ -72,7 +74,7 @@ type stream struct {
 	wakeAt simclock.Duration // next resume time while unstarted/sleeping
 	cont   vfs.IOStep        // the suspended operation, valid when blocked
 	req    *Request          // the queued/in-flight request, valid when blocked
-	hedge  *hedgeState       // the in-progress hedged read, valid when blocked on one
+	hedge  hedgeState        // the in-progress hedged read, valid when hedge.primary != nil
 	res    Result            // outcome fed to the next Step call
 	finish simclock.Duration // clock at completion, valid when done
 	err    error
@@ -81,7 +83,8 @@ type stream struct {
 // hedgeState is a Program stream's in-progress hedged read (the HedgedDev-
 // Read op): the primary request, the standby secondary target, and — once
 // the virtual-time deadline fires — the secondary request racing the
-// primary. The first completion wins; settleHedge cancels the loser.
+// primary. The first completion wins; settleHedge cancels the loser. The
+// zero value means no hedged read is in progress.
 type hedgeState struct {
 	primary      *Request
 	secondaryDev device.ID
@@ -125,10 +128,19 @@ type devQueue struct {
 }
 
 // Engine coordinates streams and device queues over one shared kernel.
+//
+// Requests are recycled through a pool: reqs holds every request the
+// engine has allocated, indexed by its slot, and free lists the slots not
+// in use. A request is taken from the pool at submission and returned
+// when nothing can reach it any more — when its stream consumes the
+// completion, when a cancelled hedge loser completes or is dropped at
+// dispatch, when an fn stream has read its outcome, or when a stream
+// panics with its submission still pending. Schedulers give requests up
+// at Pick (see Scheduler), and events name requests by slot and seq, so
+// a stale reference can never mistake a reused slot for its old request.
 type Engine struct {
 	k       *vfs.Kernel
-	queues  map[device.ID]*devQueue
-	order   []device.ID // queued devices in wrap order, for deterministic iteration
+	queues  []*devQueue // indexed by device ID; nil for unqueued devices
 	streams []*stream
 	heap    eventHeap
 	bridge  chan bridgeEvent // fn stream -> engine
@@ -137,21 +149,41 @@ type Engine struct {
 	current StreamID
 	base    simclock.Duration
 	pending *Request // handoff from QueuedDevice.submit to the op loop
-	events  uint64   // events processed across all Runs, for benchmarks
+	events  uint64   // events popped across all Runs, for benchmarks
+
+	reqs []*Request // the request pool, indexed by Request.slot
+	free []int32    // slots of pooled requests, reused last-in first-out
 
 	// orphanObs, when set, observes cancelled hedge losers that completed
 	// with an error after losing the race (see SetOrphanObserver).
 	orphanObs func(dev device.ID, err error, at simclock.Duration)
 }
 
+// poisonFreed makes freeReq overwrite every recycled request with values
+// that any later use trips over (an out-of-range device, a stream ID of
+// -1, an error no device returns). The package's tests turn it on; it
+// costs one predictable branch per free otherwise.
+var poisonFreed bool
+
+// errFreedRequest is the outcome a poisoned request carries: a stream
+// that reports it read a request after the engine had recycled it.
+var errFreedRequest = errors.New("iosched: use of a recycled request")
+
 // NewEngine returns an engine over the kernel's devices. Wrap devices with
 // Queue, add streams with AddStream or AddStreamFunc, then call Run.
 func NewEngine(k *vfs.Kernel) *Engine {
 	return &Engine{
 		k:      k,
-		queues: make(map[device.ID]*devQueue),
 		bridge: make(chan bridgeEvent),
 	}
+}
+
+// queue returns the queue of device id, or nil if it is not queued.
+func (e *Engine) queue(id device.ID) *devQueue {
+	if uint(id) < uint(len(e.queues)) {
+		return e.queues[id]
+	}
+	return nil
 }
 
 // Queue interposes a request queue with the given scheduler on the device
@@ -164,13 +196,15 @@ func (e *Engine) Queue(id device.ID, sched Scheduler) {
 	if e.running {
 		panic("iosched: Queue called while running")
 	}
-	if _, ok := e.queues[id]; ok {
+	if e.queue(id) != nil {
 		panic(fmt.Sprintf("iosched: device %d already queued", id))
 	}
 	raw := e.k.Devices.Get(id)
 	dq := &devQueue{id: id, dev: raw, sched: sched, clock: simclock.New()}
+	for int(id) >= len(e.queues) {
+		e.queues = append(e.queues, nil)
+	}
 	e.queues[id] = dq
-	e.order = append(e.order, id)
 	e.k.Devices.Replace(id, &QueuedDevice{e: e, dq: dq})
 }
 
@@ -184,13 +218,9 @@ func (e *Engine) AddStream(start simclock.Duration, prog Program) StreamID {
 	if e.running {
 		panic("iosched: AddStream called while running")
 	}
-	id := StreamID(len(e.streams))
-	e.streams = append(e.streams, &stream{
-		id:    id,
-		start: start,
-		prog:  prog,
-	})
-	return id
+	st := e.addStream(start)
+	st.prog = prog
+	return st.id
 }
 
 // AddStreamFunc registers a simulated process written as a blocking
@@ -207,14 +237,19 @@ func (e *Engine) AddStreamFunc(start simclock.Duration, fn func(h *Handle) error
 	if e.running {
 		panic("iosched: AddStreamFunc called while running")
 	}
+	st := e.addStream(start)
+	st.fn = fn
+	st.resume = make(chan simclock.Duration)
+	return st.id
+}
+
+// addStream appends a stream record with its handle and clock.
+func (e *Engine) addStream(start simclock.Duration) *stream {
 	id := StreamID(len(e.streams))
-	e.streams = append(e.streams, &stream{
-		id:     id,
-		start:  start,
-		fn:     fn,
-		resume: make(chan simclock.Duration),
-	})
-	return id
+	st := &stream{id: id, start: start}
+	st.h = Handle{e: e, k: e.k, id: id}
+	e.streams = append(e.streams, st)
+	return st
 }
 
 // SetOrphanObserver registers a callback for faults surfaced by cancelled
@@ -248,9 +283,11 @@ func (e *Engine) Run() error {
 	e.running = true
 	mainClock := e.k.Clock
 	e.base = mainClock.Now()
-	e.heap = e.heap[:0]
-	for _, id := range e.order {
-		dq := e.queues[id]
+	e.heap.s = e.heap.s[:0]
+	for _, dq := range e.queues {
+		if dq == nil {
+			continue
+		}
 		dq.clock.AdvanceTo(e.base)
 		dq.free = e.base
 		dq.busy = false
@@ -259,42 +296,47 @@ func (e *Engine) Run() error {
 		dq.cancelledQueued = 0
 	}
 	for _, st := range e.streams {
-		st.clock = simclock.New()
+		st.clock = simclock.Clock{}
 		st.clock.AdvanceTo(e.base + st.start)
 		st.state = stateUnstarted
 		st.wakeAt = e.base + st.start
 		st.cont = vfs.IOStep{}
 		st.req = nil
-		st.hedge = nil
+		st.hedge = hedgeState{}
 		st.res = Result{}
 		st.err = nil
 		if st.fn != nil {
 			e.launch(st)
 		}
-		e.heap.push(engineEvent{time: st.wakeAt, kind: evResume, stream: st.id})
+		e.heap.push(engineEvent{time: st.wakeAt, kind: evResume, id: int32(st.id)})
 	}
 
-	for len(e.heap) > 0 {
+	for e.heap.len() > 0 {
 		ev := e.heap.pop()
 		e.events++
 		switch ev.kind {
 		case evResume:
-			st := e.streams[ev.stream]
-			if ev.req != nil {
+			st := e.streams[ev.id]
+			if ev.seq != 0 {
 				// A completion event: free the device whatever happens to
 				// the stream.
-				e.retireReq(ev.req)
-				if ev.req.cancelled {
+				r := e.reqs[ev.slot]
+				if r.seq+1 != ev.seq {
+					panic("iosched: completion of a recycled request") //sledlint:allow panicpath -- pool invariant: a request is recycled only after its completion pops
+				}
+				e.retireReq(r)
+				if r.cancelled {
 					// A hedge loser: nobody is waiting on it, but a fault it
 					// surfaced is still real — report it to the observer so
 					// health accounting sees failures the race masked.
-					if ev.req.Err != nil && e.orphanObs != nil {
-						e.orphanObs(ev.req.Dev, ev.req.Err, ev.time)
+					if r.Err != nil && e.orphanObs != nil {
+						e.orphanObs(r.Dev, r.Err, ev.time)
 					}
+					e.freeReq(r)
 					continue
 				}
-				if st.hedge != nil {
-					e.settleHedge(st, ev.req)
+				if st.hedge.primary != nil {
+					e.settleHedge(st, r)
 				}
 			}
 			if st.fn != nil {
@@ -303,9 +345,9 @@ func (e *Engine) Run() error {
 			}
 			e.runStream(st, ev.time)
 		case evHedge:
-			e.fireHedge(e.streams[ev.stream], ev.req, ev.time)
+			e.fireHedge(e.streams[ev.id], ev.seq, ev.time)
 		case evDispatch:
-			dq := e.queues[ev.dev]
+			dq := e.queues[ev.id]
 			if !dq.dispatchUp || ev.time != dq.dispatchAt {
 				continue // superseded by an earlier-arriving submission
 			}
@@ -335,11 +377,58 @@ func (e *Engine) Run() error {
 	return nil
 }
 
+// newReq takes a request from the pool (growing it when every request is
+// in use) and fills it in as stream's next submission, stamped with the
+// next sequence number.
+//
+//sledlint:hotpath
+func (e *Engine) newReq(stream StreamID, dev device.ID, off, length int64, write bool, arrival simclock.Duration) *Request {
+	var r *Request
+	if n := len(e.free); n > 0 {
+		r = e.reqs[e.free[n-1]]
+		e.free = e.free[:n-1]
+	} else {
+		//sledlint:allow hotalloc -- pool growth: runs only while concurrency climbs to a new high, never in steady state
+		r = &Request{slot: int32(len(e.reqs))}
+		e.reqs = append(e.reqs, r)
+	}
+	*r = Request{
+		Stream:  stream,
+		Dev:     dev,
+		Off:     off,
+		Length:  length,
+		Write:   write,
+		Arrival: arrival,
+		seq:     e.seq,
+		slot:    r.slot,
+		hidx:    -1,
+	}
+	e.seq++
+	return r
+}
+
+// freeReq returns a request to the pool. The caller must hold the last
+// reference the engine keeps to it.
+//
+//sledlint:allow panicpath -- pool invariant: a double free is an engine bug, not a simulation outcome
+func (e *Engine) freeReq(r *Request) {
+	if r.pooled {
+		panic("iosched: request freed twice")
+	}
+	if poisonFreed {
+		*r = Request{Stream: -1, Dev: -1, Off: -1, Length: -1, Err: errFreedRequest, seq: ^uint64(0) - 1, slot: r.slot, hidx: -1}
+	}
+	r.pooled = true
+	e.free = append(e.free, r.slot)
+}
+
 // retireReq returns a completed request's device to idle and, if requests
 // are waiting there, queues the next dispatch. The next dispatch lands at
 // the same instant but after every same-instant resume, so a request
 // submitted "now" by a just-resumed stream is visible to the scheduler
 // deciding "now" — as under the goroutine engine.
+//
+//sledlint:hotpath
 func (e *Engine) retireReq(r *Request) {
 	dq := e.queues[r.Dev]
 	dq.busy = false
@@ -354,45 +443,41 @@ func (e *Engine) retireReq(r *Request) {
 // dispatch if still queued, or left to finish as an unclaimed completion
 // if already occupying its device (a real cancellation cannot recall a
 // request the server is servicing) — and the winner's outcome becomes the
-// stream's next Result.
+// stream's next Result. The winner goes back to the pool; the loser
+// follows when it completes or is dropped.
 func (e *Engine) settleHedge(st *stream, winner *Request) {
-	hs := st.hedge
+	hs := &st.hedge
 	loser := hs.secondary
 	if winner != hs.primary {
 		loser = hs.primary
 	}
 	if loser != nil {
 		loser.cancelled = true
-		lq := e.queues[loser.Dev]
-		if lq.inflight != loser {
+		if lq := e.queues[loser.Dev]; lq.inflight != loser {
 			lq.cancelledQueued++
 		}
 	}
 	st.res = Result{Err: winner.Err, Dev: winner.Dev, HedgeFired: hs.fired}
+	*hs = hedgeState{}
+	e.freeReq(winner)
 }
 
 // fireHedge handles a hedge deadline expiring: if the guarded read is
 // still outstanding, the secondary request is submitted to its device with
 // the deadline instant as its arrival. A deadline whose read already
-// completed (or that already fired) is stale and ignored.
-func (e *Engine) fireHedge(st *stream, primary *Request, t simclock.Duration) {
-	hs := st.hedge
-	if hs == nil || hs.primary != primary || hs.fired {
+// completed (or that already fired) is stale and ignored; primarySeq (the
+// guarded request's seq + 1) tells it from a later hedged read of the same
+// stream, which may well reuse the same pooled request.
+func (e *Engine) fireHedge(st *stream, primarySeq uint64, t simclock.Duration) {
+	hs := &st.hedge
+	if hs.primary == nil || hs.primary.seq+1 != primarySeq || hs.fired {
 		return
 	}
-	sq, ok := e.queues[hs.secondaryDev]
-	if !ok {
+	sq := e.queue(hs.secondaryDev)
+	if sq == nil {
 		return // unqueued secondary: nothing to race the primary against
 	}
-	r := &Request{
-		Stream:  st.id,
-		Dev:     hs.secondaryDev,
-		Off:     hs.secOff,
-		Length:  hs.length,
-		Arrival: t,
-		seq:     e.seq,
-	}
-	e.seq++
+	r := e.newReq(st.id, hs.secondaryDev, hs.secOff, hs.length, false, t)
 	hs.fired = true
 	hs.secondary = r
 	sq.sched.Add(r)
@@ -405,6 +490,8 @@ func (e *Engine) fireHedge(st *stream, primary *Request, t simclock.Duration) {
 // processed later can still carry an earlier arrival and pull the dispatch
 // instant forward: the earlier event is pushed alongside the stale one,
 // dispatchAt marks which is live, and the loop drops the superseded pop.
+//
+//sledlint:hotpath
 func (e *Engine) maybeDispatch(dq *devQueue) {
 	if dq.busy || dq.sched.Len() == 0 {
 		return
@@ -418,7 +505,7 @@ func (e *Engine) maybeDispatch(dq *devQueue) {
 	}
 	dq.dispatchUp = true
 	dq.dispatchAt = t
-	e.heap.push(engineEvent{time: t, kind: evDispatch, dev: dq.id})
+	e.heap.push(engineEvent{time: t, kind: evDispatch, id: int32(dq.id)})
 }
 
 // runStream executes one stream from virtual time t until it suspends on
@@ -428,21 +515,18 @@ func (e *Engine) maybeDispatch(dq *devQueue) {
 func (e *Engine) runStream(st *stream, t simclock.Duration) {
 	st.clock.AdvanceTo(t)
 	e.current = st.id
-	e.k.SetClock(st.clock)
-	h := &Handle{e: e, k: e.k, id: st.id}
+	e.k.SetClock(&st.clock)
 
 	var step vfs.IOStep
 	haveStep := false
 	if st.state == stateBlocked {
-		if st.hedge != nil {
-			// A hedged read resolved: settleHedge already folded the
-			// winner's outcome into st.res, and there is no kernel
-			// continuation to resume — the hedged access is a raw device
-			// op. Fall through to the next Step call.
-			st.hedge = nil
-		} else {
-			devErr := st.req.Err
+		// A resolved hedged read left its outcome in st.res (settleHedge)
+		// and has no kernel continuation — the hedged access is a raw
+		// device op — so it falls through to the next Step call.
+		if r := st.req; r != nil {
+			devErr := r.Err
 			st.req = nil
+			e.freeReq(r)
 			cont := st.cont
 			st.cont = vfs.IOStep{}
 			if !e.protect(st, func() { step = cont.Resume(devErr) }) {
@@ -472,7 +556,7 @@ func (e *Engine) runStream(st *stream, t simclock.Duration) {
 			st.res = Result{N: int(step.N()), Err: step.Err()}
 		}
 		var op Op
-		if !e.protect(st, func() { op = st.prog.Step(h, st.res) }) {
+		if !e.protect(st, func() { op = st.prog.Step(&st.h, st.res) }) {
 			return
 		}
 		switch op.kind {
@@ -490,44 +574,35 @@ func (e *Engine) runStream(st *stream, t simclock.Duration) {
 			}
 			st.state = stateSleeping
 			st.wakeAt = st.clock.Now() + op.sleep
-			e.heap.push(engineEvent{time: st.wakeAt, kind: evResume, stream: st.id})
+			e.heap.push(engineEvent{time: st.wakeAt, kind: evResume, id: int32(st.id)})
 			return
-		case opIO:
-			if !e.protect(st, func() { step = op.start(h) }) {
+		case opHedge:
+			if op.hedge.delay < 0 {
+				st.state = stateDone
+				st.finish = st.clock.Now()
+				st.err = fmt.Errorf("iosched: stream %d panicked: iosched: negative hedge delay %v", st.id, op.hedge.delay)
+				return
+			}
+			dq := e.queue(op.dev)
+			if dq == nil {
+				// An unqueued primary completes in place (as in deviceStep
+				// outside a queue): nothing to hedge against.
+				err := device.ReadErr(e.k.Devices.Get(op.dev), &st.clock, op.off, op.length)
+				st.res = Result{Err: err, Dev: op.dev}
+				continue
+			}
+			r := e.newReq(st.id, op.dev, op.off, op.length, false, st.clock.Now())
+			st.state = stateBlocked
+			st.hedge = hedgeState{primary: r, secondaryDev: op.hedge.secondary, secOff: op.hedge.secOff, length: op.length}
+			dq.sched.Add(r)
+			e.maybeDispatch(dq)
+			e.heap.push(engineEvent{time: st.clock.Now() + op.hedge.delay, kind: evHedge, id: int32(st.id), seq: r.seq + 1})
+			return
+		default:
+			if !e.protect(st, func() { step = op.startIO(e.k) }) {
 				return
 			}
 			haveStep = true
-		case opHedge:
-			hg := op.hedge
-			if hg.delay < 0 {
-				st.state = stateDone
-				st.finish = st.clock.Now()
-				st.err = fmt.Errorf("iosched: stream %d panicked: iosched: negative hedge delay %v", st.id, hg.delay)
-				return
-			}
-			dq, queued := e.queues[hg.primary]
-			if !queued {
-				// An unqueued primary completes in place (as in deviceStep
-				// outside a queue): nothing to hedge against.
-				err := device.ReadErr(e.k.Devices.Get(hg.primary), st.clock, hg.off, hg.length)
-				st.res = Result{Err: err, Dev: hg.primary}
-				continue
-			}
-			r := &Request{
-				Stream:  st.id,
-				Dev:     hg.primary,
-				Off:     hg.off,
-				Length:  hg.length,
-				Arrival: st.clock.Now(),
-				seq:     e.seq,
-			}
-			e.seq++
-			st.state = stateBlocked
-			st.hedge = &hedgeState{primary: r, secondaryDev: hg.secondary, secOff: hg.secOff, length: hg.length}
-			dq.sched.Add(r)
-			e.maybeDispatch(dq)
-			e.heap.push(engineEvent{time: st.clock.Now() + hg.delay, kind: evHedge, stream: st.id, req: r})
-			return
 		}
 	}
 }
@@ -544,7 +619,7 @@ func (e *Engine) launch(st *stream) {
 					err = fmt.Errorf("iosched: stream %d panicked: %v", st.id, p)
 				}
 			}()
-			return st.fn(&Handle{e: e, k: e.k, id: st.id})
+			return st.fn(&st.h)
 		}()
 		e.bridge <- bridgeEvent{stream: st.id, finished: true, err: err}
 	}()
@@ -557,7 +632,7 @@ func (e *Engine) launch(st *stream) {
 func (e *Engine) runFuncStream(st *stream, t simclock.Duration) {
 	st.req = nil
 	e.current = st.id
-	e.k.SetClock(st.clock)
+	e.k.SetClock(&st.clock)
 	st.resume <- t
 	ev := <-e.bridge
 	if ev.stream != st.id {
@@ -571,7 +646,7 @@ func (e *Engine) runFuncStream(st *stream, t simclock.Duration) {
 	case ev.sleeping:
 		st.state = stateSleeping
 		st.wakeAt = ev.wake
-		e.heap.push(engineEvent{time: st.wakeAt, kind: evResume, stream: st.id})
+		e.heap.push(engineEvent{time: st.wakeAt, kind: evResume, id: int32(st.id)})
 	default:
 		st.state = stateBlocked
 		st.req = ev.req
@@ -582,12 +657,16 @@ func (e *Engine) runFuncStream(st *stream, t simclock.Duration) {
 }
 
 // protect runs one slice of stream code, converting a panic into stream
-// failure so one broken stream cannot take down the engine. Reports
-// whether fn completed normally.
+// failure so one broken stream cannot take down the engine. A request the
+// slice submitted before panicking goes back to the pool. Reports whether
+// fn completed normally.
 func (e *Engine) protect(st *stream, fn func()) (ok bool) {
 	defer func() {
 		if p := recover(); p != nil {
-			e.pending = nil
+			if e.pending != nil {
+				e.freeReq(e.pending)
+				e.pending = nil
+			}
 			st.state = stateDone
 			st.finish = st.clock.Now()
 			st.err = fmt.Errorf("iosched: stream %d panicked: %v", st.id, p)
@@ -602,6 +681,8 @@ func (e *Engine) protect(st *stream, fn func()) (ok bool) {
 // timeline. A fault from the underlying device (a stacked faults.Injector)
 // rides back to the submitting stream in r.Err; the failed attempt still
 // occupies the device for the time it cost.
+//
+//sledlint:hotpath
 func (e *Engine) dispatch(dq *devQueue, t simclock.Duration) {
 	dq.dispatchUp = false
 	var r *Request
@@ -614,10 +695,11 @@ func (e *Engine) dispatch(dq *devQueue, t simclock.Duration) {
 			break
 		}
 		// A hedge loser cancelled while still queued: drop it without
-		// occupying the device. If the drop empties the eligible set, the
-		// remaining arrivals are in the future — let maybeDispatch requeue
-		// at the right instant.
+		// occupying the device, and recycle it. If the drop empties the
+		// eligible set, the remaining arrivals are in the future — let
+		// maybeDispatch requeue at the right instant.
 		dq.cancelledQueued--
+		e.freeReq(r)
 		if dq.sched.Len() == 0 {
 			return
 		}
@@ -635,7 +717,7 @@ func (e *Engine) dispatch(dq *devQueue, t simclock.Duration) {
 	dq.busy = true
 	dq.inflight = r
 	dq.inflightDone = dq.clock.Now()
-	e.heap.push(engineEvent{time: dq.inflightDone, kind: evResume, stream: r.Stream, req: r})
+	e.heap.push(engineEvent{time: dq.inflightDone, kind: evResume, id: int32(r.Stream), slot: r.slot, seq: r.seq + 1})
 }
 
 // submit is called from inside a running stream (via a QueuedDevice) to
@@ -644,24 +726,18 @@ func (e *Engine) dispatch(dq *devQueue, t simclock.Duration) {
 // captures the operation as a continuation, and the engine feeds the
 // dispatch outcome back in at completion time. For an fn stream the
 // calling goroutine parks until the request completes and the real
-// outcome is returned, so blocking code never sees vfs.ErrBlocked.
+// outcome is returned, so blocking code never sees vfs.ErrBlocked; the
+// goroutine recycles the request once it has read the outcome.
 func (e *Engine) submit(c *simclock.Clock, dev device.ID, off, length int64, write bool) error {
 	st := e.streams[e.current]
-	r := &Request{
-		Stream:  st.id,
-		Dev:     dev,
-		Off:     off,
-		Length:  length,
-		Write:   write,
-		Arrival: c.Now(),
-		seq:     e.seq,
-	}
-	e.seq++
+	r := e.newReq(st.id, dev, off, length, write, c.Now())
 	if st.fn != nil {
 		e.bridge <- bridgeEvent{stream: st.id, req: r}
 		granted := <-st.resume
 		c.AdvanceTo(granted)
-		return r.Err
+		err := r.Err
+		e.freeReq(r)
+		return err
 	}
 	if e.pending != nil {
 		panic("iosched: overlapping queued submissions in one op step") //sledlint:allow panicpath -- resumable-layer invariant: one suspension per step
@@ -670,9 +746,12 @@ func (e *Engine) submit(c *simclock.Clock, dev device.ID, off, length int64, wri
 	return vfs.ErrBlocked
 }
 
-// Events reports the number of engine events processed so far (stream
-// resumes and device dispatches, summed over every Run on this engine).
-// It is the work metric the events/sec benchmarks rate.
+// Events reports the number of events the engine has popped from its heap,
+// summed over every Run: stream starts and sleep wakes, request
+// completions, hedge deadlines (stale ones included — a deadline whose
+// read finished first is popped and dropped), and device dispatches
+// (superseded ones included). It is the work metric the events/sec
+// benchmarks rate.
 func (e *Engine) Events() uint64 { return e.events }
 
 // FinishTime reports a stream's virtual completion instant (meaningful
@@ -688,8 +767,8 @@ func (e *Engine) Base() simclock.Duration { return e.base }
 // yet dispatched) at the device, excluding cancelled hedge losers that
 // will be dropped, not serviced. Unqueued devices report 0.
 func (e *Engine) QueueDepth(id device.ID) int {
-	dq, ok := e.queues[id]
-	if !ok {
+	dq := e.queue(id)
+	if dq == nil {
 		return 0
 	}
 	return dq.sched.Len() - dq.cancelledQueued
@@ -699,8 +778,8 @@ func (e *Engine) QueueDepth(id device.ID) int {
 // the request the device is currently working on, as seen from virtual
 // time now. Idle or unqueued devices report 0.
 func (e *Engine) InFlightRemaining(id device.ID, now simclock.Duration) simclock.Duration {
-	dq, ok := e.queues[id]
-	if !ok || !dq.busy {
+	dq := e.queue(id)
+	if dq == nil || !dq.busy {
 		return 0
 	}
 	rem := dq.inflightDone - now

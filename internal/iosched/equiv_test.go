@@ -6,7 +6,9 @@ package iosched
 // (Program state machines and bridged blocking closures). Each trial
 // builds three identical worlds and replays one pseudo-random workload:
 // any difference in service order, per-stream finish times, or the Run
-// error is a regression in the rewrite.
+// error is a regression in the rewrite. The heap engine runs with its
+// recycled requests poisoned (see lifetime_test.go) and must end every
+// trial with its request pool drained.
 
 import (
 	"reflect"
@@ -168,6 +170,7 @@ func runProg(t *testing.T, spec trialSpec) outcome {
 		}))
 	}
 	err := e.Run()
+	assertPoolDrained(t, e)
 	fin := make([]simclock.Duration, len(spec.streams))
 	for s := range spec.streams {
 		fin[s] = e.FinishTime(StreamID(s))
@@ -200,6 +203,7 @@ func runFunc(t *testing.T, spec trialSpec) outcome {
 		})
 	}
 	err := e.Run()
+	assertPoolDrained(t, e)
 	fin := make([]simclock.Duration, len(spec.streams))
 	for s := range spec.streams {
 		fin[s] = e.FinishTime(StreamID(s))

@@ -1,23 +1,22 @@
 package iosched
 
-import (
-	"sleds/internal/device"
-	"sleds/internal/simclock"
-)
+import "sleds/internal/simclock"
 
 // engineEvent is one schedulable occurrence: a stream resume (start, sleep
 // wake, or request completion), a hedge deadline, or a device dispatch.
-// Completion resumes carry the request that completed (req non-nil), so
-// the engine can tell which of a hedged pair finished and can retire a
-// cancelled loser without touching its stream; hedge events carry the
-// primary request they guard, which is how a deadline that outlived its
-// read is recognised as stale.
+// Completion resumes name the request that completed (its pool slot and
+// seq), so the engine can tell which of a hedged pair finished and can
+// retire a cancelled loser without touching its stream; hedge events carry
+// the seq of the primary request they guard, which is how a deadline that
+// outlived its read is recognised as stale even after the primary's slot
+// has been reused. The struct holds no pointers, so heap moves need no GC
+// write barriers.
 type engineEvent struct {
-	time   simclock.Duration
-	kind   int // evResume before evHedge before evDispatch at equal times
-	stream StreamID
-	dev    device.ID
-	req    *Request
+	time simclock.Duration
+	seq  uint64 // the carried request's seq + 1; 0 when none (plain resumes, dispatches)
+	id   int32  // stream ID (resumes, hedges) or device ID (dispatches)
+	slot int32  // the completed request's pool slot (completion resumes)
+	kind uint8  // evResume before evHedge before evDispatch at equal times
 }
 
 const (
@@ -34,7 +33,11 @@ const (
 // without hedged reads are unchanged. The seq suffix only matters when one
 // stream has several events at one instant — a hedged pair completing
 // together, or an abandoned loser's completion landing on a sleep wake —
-// and makes the earlier-submitted request win deterministically.
+// and makes the earlier-submitted request win deterministically: plain
+// resumes (seq 0) first, then completions by submission order. Two events
+// equal under this order are identical in every field (a dispatch pushed
+// again at the instant of a popped one), so the pop sequence does not
+// depend on the heap's shape.
 func eventLess(a, b engineEvent) bool {
 	if a.time != b.time {
 		return a.time < b.time
@@ -42,71 +45,78 @@ func eventLess(a, b engineEvent) bool {
 	if a.kind != b.kind {
 		return a.kind < b.kind
 	}
-	if a.kind == evDispatch {
-		return a.dev < b.dev
+	if a.id != b.id {
+		return a.id < b.id
 	}
-	if a.stream != b.stream {
-		return a.stream < b.stream
-	}
-	return eventSeq(a) < eventSeq(b)
+	return a.seq < b.seq
 }
 
-// eventSeq orders same-stream same-instant events: plain resumes (no
-// request) first, then completions by submission order.
-func eventSeq(e engineEvent) uint64 {
-	if e.req == nil {
-		return 0
-	}
-	return e.req.seq + 1
-}
-
-// eventHeap is a binary min-heap of pending events under eventLess. Stream
-// resumes without a request are unique per stream and always live (a
-// stream waits on at most one timer, at a fixed time). Dispatch events can
-// be superseded: a submission carrying an earlier arrival than the pending
+// eventHeap is a 4-ary min-heap of pending events under eventLess. A
+// 4-ary heap is half as deep as a binary one, and each level's children
+// share a cache line or two, so a pop costs fewer dependent loads; push
+// and pop move a hole instead of swapping entries, writing each moved
+// event once.
+//
+// Not every popped event is live. Stream resumes without a request are
+// unique per stream and always live (a stream waits on at most one timer,
+// at a fixed time), and completions are live by construction (a request is
+// recycled only after its completion pops). Dispatch events can be
+// superseded: a submission carrying an earlier arrival than the pending
 // dispatch's min-arrival pulls the dispatch instant forward, pushing a
 // second event and leaving the stale one to be dropped on pop
-// (devQueue.dispatchAt marks the live one). Hedge events go stale when
-// their read completes first; the pop checks the stream's hedge state.
-type eventHeap []engineEvent
+// (devQueue.dispatchAt marks the live one). Hedge deadlines go stale when
+// their read completes first — most of them, under a well-tuned hedge —
+// and the pop recognises them by comparing the event's seq with the
+// stream's in-progress hedged read. Events counts every pop, stale or not.
+type eventHeap struct{ s []engineEvent }
 
+func (h *eventHeap) len() int { return len(h.s) }
+
+//sledlint:hotpath
 func (h *eventHeap) push(ev engineEvent) {
-	*h = append(*h, ev)
-	s := *h
+	s := append(h.s, ev)
 	i := len(s) - 1
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !eventLess(s[i], s[parent]) {
+		parent := (i - 1) / 4
+		if !eventLess(ev, s[parent]) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = ev
+	h.s = s
 }
 
+//sledlint:hotpath
 func (h *eventHeap) pop() engineEvent {
-	s := *h
+	s := h.s
 	top := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	s[last] = engineEvent{}
-	s = s[:last]
-	*h = s
+	n := len(s) - 1
+	last := s[n]
+	s = s[:n]
+	h.s = s
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(s) && eventLess(s[l], s[smallest]) {
-			smallest = l
-		}
-		if r < len(s) && eventLess(s[r], s[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
+		c := 4*i + 1
+		if c >= n {
 			break
 		}
-		s[i], s[smallest] = s[smallest], s[i]
-		i = smallest
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if eventLess(s[j], s[m]) {
+				m = j
+			}
+		}
+		if !eventLess(s[m], last) {
+			break
+		}
+		s[i] = s[m]
+		i = m
 	}
+	s[i] = last
 	return top
 }

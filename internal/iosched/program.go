@@ -44,7 +44,8 @@ func (f ProgramFunc) Step(h *Handle, prev Result) Op { return f(h, prev) }
 
 // Handle is a stream's interface to its execution context, passed to every
 // Step call. Under an Engine it reports the stream's identity and virtual
-// time; under RunProgram it reflects the kernel's clock directly.
+// time; under RunProgram it reflects the kernel's clock directly. Each
+// stream keeps one Handle for its lifetime.
 type Handle struct {
 	e  *Engine // nil under RunProgram
 	k  *vfs.Kernel
@@ -81,34 +82,52 @@ func (h *Handle) Sleep(d simclock.Duration) {
 }
 
 // opKind discriminates Op variants.
-type opKind int
+type opKind uint8
 
 const (
 	opExit opKind = iota
 	opSleep
-	opIO
+	opReadAt
+	opReadAtMapped
+	opRead
+	opWriteAt
+	opWrite
+	opDevRead
+	opDevWrite
 	opHedge
 )
 
 // Op is one operation a Program asks its driver to run: finish the stream,
 // sleep in virtual time, perform a (possibly suspending) I/O, or race a
-// hedged read across two devices.
+// hedged read across two devices. An Op is a plain value — its operands
+// are fields, not a captured closure — so building one allocates nothing.
 type Op struct {
 	kind  opKind
-	sleep simclock.Duration
-	err   error
-	start func(h *Handle) vfs.IOStep
-	hedge *hedgeSpec
+	sleep simclock.Duration // opSleep
+	err   error             // opExit
+
+	// File ops: the file and buffer; off is the offset of the positioned
+	// ones (ReadAt, ReadAtMapped, WriteAt).
+	f   *vfs.File
+	p   []byte
+	off int64
+
+	// Device ops (DevRead, DevWrite, HedgedDevReadAt): the device and
+	// extent, with off as the device offset. hedge adds the secondary
+	// target and deadline of a hedged read.
+	dev    device.ID
+	length int64
+	hedge  hedgeSpec
 }
 
-// hedgeSpec parameterises a HedgedDevRead: off is the primary's device
-// offset, secOff the secondary's (they differ when the two devices hold
-// replicas of the same data at different extents).
+// hedgeSpec is the part of a HedgedDevReadAt beyond its primary access:
+// the secondary device and its offset (they differ from the primary's
+// when the two devices hold replicas of the same data at different
+// extents), and the hedge deadline.
 type hedgeSpec struct {
-	primary, secondary device.ID
-	off, secOff        int64
-	length             int64
-	delay              simclock.Duration
+	secondary device.ID
+	secOff    int64
+	delay     simclock.Duration
 }
 
 // Exit ends the stream with the given error (nil for success).
@@ -120,43 +139,35 @@ func Sleep(d simclock.Duration) Op { return Op{kind: opSleep, sleep: d} }
 
 // ReadAt reads len(p) bytes from f at offset off (File.ReadAt as an Op).
 func ReadAt(f *vfs.File, p []byte, off int64) Op {
-	return Op{kind: opIO, start: func(*Handle) vfs.IOStep { return f.ReadAtStep(p, off) }}
+	return Op{kind: opReadAt, f: f, p: p, off: off}
 }
 
 // ReadAtMapped is File.ReadAtMapped as an Op: no per-byte copy charge.
 func ReadAtMapped(f *vfs.File, p []byte, off int64) Op {
-	return Op{kind: opIO, start: func(*Handle) vfs.IOStep { return f.ReadAtMappedStep(p, off) }}
+	return Op{kind: opReadAtMapped, f: f, p: p, off: off}
 }
 
 // Read reads from f's cursor (File.Read as an Op).
-func Read(f *vfs.File, p []byte) Op {
-	return Op{kind: opIO, start: func(*Handle) vfs.IOStep { return f.ReadStep(p) }}
-}
+func Read(f *vfs.File, p []byte) Op { return Op{kind: opRead, f: f, p: p} }
 
 // WriteAt writes p to f at offset off (File.WriteAt as an Op).
 func WriteAt(f *vfs.File, p []byte, off int64) Op {
-	return Op{kind: opIO, start: func(*Handle) vfs.IOStep { return f.WriteAtStep(p, off) }}
+	return Op{kind: opWriteAt, f: f, p: p, off: off}
 }
 
 // Write writes p at f's cursor (File.Write as an Op).
-func Write(f *vfs.File, p []byte) Op {
-	return Op{kind: opIO, start: func(*Handle) vfs.IOStep { return f.WriteStep(p) }}
-}
+func Write(f *vfs.File, p []byte) Op { return Op{kind: opWrite, f: f, p: p} }
 
 // DevRead accesses the device registered under id directly, below the VFS:
 // the raw dispatch outcome (a fault injected under the queue, untouched by
 // the kernel retry policy) comes back in Result.Err.
 func DevRead(id device.ID, off, length int64) Op {
-	return Op{kind: opIO, start: func(h *Handle) vfs.IOStep {
-		return deviceStep(h.k, id, off, length, false)
-	}}
+	return Op{kind: opDevRead, dev: id, off: off, length: length}
 }
 
 // DevWrite is the write counterpart of DevRead.
 func DevWrite(id device.ID, off, length int64) Op {
-	return Op{kind: opIO, start: func(h *Handle) vfs.IOStep {
-		return deviceStep(h.k, id, off, length, true)
-	}}
+	return Op{kind: opDevWrite, dev: id, off: off, length: length}
 }
 
 // HedgedDevRead is DevRead with a deterministic tail-latency hedge: the
@@ -189,14 +200,27 @@ func HedgedDevRead(primary, secondary device.ID, off, length int64, delay simclo
 // two targets — the replicated-data case, where each device holds its own
 // copy of the logical bytes at its own extent.
 func HedgedDevReadAt(primary device.ID, off int64, secondary device.ID, secOff, length int64, delay simclock.Duration) Op {
-	return Op{kind: opHedge, hedge: &hedgeSpec{
-		primary:   primary,
-		secondary: secondary,
-		off:       off,
-		secOff:    secOff,
-		length:    length,
-		delay:     delay,
-	}}
+	return Op{kind: opHedge, dev: primary, off: off, length: length,
+		hedge: hedgeSpec{secondary: secondary, secOff: secOff, delay: delay}}
+}
+
+// startIO begins an I/O op (any kind but exit, sleep and hedge) on the
+// kernel k, returning its first step.
+func (op *Op) startIO(k *vfs.Kernel) vfs.IOStep {
+	switch op.kind {
+	case opReadAt:
+		return op.f.ReadAtStep(op.p, op.off)
+	case opReadAtMapped:
+		return op.f.ReadAtMappedStep(op.p, op.off)
+	case opRead:
+		return op.f.ReadStep(op.p)
+	case opWriteAt:
+		return op.f.WriteAtStep(op.p, op.off)
+	case opWrite:
+		return op.f.WriteStep(op.p)
+	default: // opDevRead, opDevWrite
+		return deviceStep(k, op.dev, op.off, op.length, op.kind == opDevWrite)
+	}
 }
 
 // deviceStep wraps one raw device access as an IOStep, so queued devices
@@ -210,10 +234,14 @@ func deviceStep(k *vfs.Kernel, id device.ID, off, length int64, write bool) vfs.
 		err = device.ReadErr(dev, k.Clock, off, length)
 	}
 	if errors.Is(err, vfs.ErrBlocked) {
-		return vfs.BlockedStep(func(devErr error) vfs.IOStep { return vfs.DoneStep(0, devErr) })
+		return vfs.BlockedStep(deviceDone)
 	}
 	return vfs.DoneStep(0, err)
 }
+
+// deviceDone is a suspended raw device access's continuation: the
+// dispatch outcome is the access's result.
+func deviceDone(devErr error) vfs.IOStep { return vfs.DoneStep(0, devErr) }
 
 // RunProgram executes a Program synchronously on the kernel's clock, with
 // no engine: every Op completes in place (there are no queued devices to
@@ -236,24 +264,23 @@ func RunProgram(k *vfs.Kernel, prog Program) error {
 			}
 			k.Clock.Advance(op.sleep)
 			res = Result{}
-		case opIO:
-			step := op.start(h)
+		case opHedge:
+			// With no engine there is no queue to suspend on: the primary
+			// read completes in place and the hedge never fires.
+			if op.hedge.delay < 0 {
+				panic(fmt.Sprintf("iosched: negative hedge delay %v", op.hedge.delay))
+			}
+			err := device.ReadErr(k.Devices.Get(op.dev), k.Clock, op.off, op.length)
+			if errors.Is(err, vfs.ErrBlocked) {
+				panic("iosched: program suspended outside an engine run")
+			}
+			res = Result{Err: err, Dev: op.dev}
+		default:
+			step := op.startIO(k)
 			if step.Blocked() {
 				panic("iosched: program suspended outside an engine run")
 			}
 			res = Result{N: int(step.N()), Err: step.Err()}
-		case opHedge:
-			// With no engine there is no queue to suspend on: the primary
-			// read completes in place and the hedge never fires.
-			hg := op.hedge
-			if hg.delay < 0 {
-				panic(fmt.Sprintf("iosched: negative hedge delay %v", hg.delay))
-			}
-			err := device.ReadErr(k.Devices.Get(hg.primary), k.Clock, hg.off, hg.length)
-			if errors.Is(err, vfs.ErrBlocked) {
-				panic("iosched: program suspended outside an engine run")
-			}
-			res = Result{Err: err, Dev: hg.primary}
 		}
 	}
 }

@@ -29,12 +29,20 @@ type Request struct {
 	// seq is the engine-wide submission sequence number. Submission order
 	// is itself deterministic (the engine runs streams in virtual-time,
 	// stream-ID order), so seq is a stable final tie-break for schedulers.
+	// Because the engine recycles requests, seq also tells one use of a
+	// pooled request from the next: events that refer to a request carry
+	// its seq, never only its address.
 	seq uint64
 
-	// picked marks a request removed through a scheduler's offset index;
-	// the arrival heap deletes lazily, dropping marked entries when they
-	// surface.
-	picked bool
+	// slot is the request's index in the engine's request pool, fixed for
+	// the life of the allocation; pooled marks a request on the free list.
+	slot   int32
+	pooled bool
+
+	// hidx is the request's position in a scheduler's arrival heap (-1
+	// when absent), so a request picked through an offset index leaves the
+	// heap at once instead of lingering until it surfaces.
+	hidx int32
 
 	// cancelled marks a hedge loser: if still queued it is dropped when a
 	// dispatch surfaces it; if already in flight it completes unclaimed
@@ -49,6 +57,11 @@ type Request struct {
 // Determinism contract: Pick must break every tie by a deterministic key
 // (never map order or pointer identity), so that identical submission
 // sequences produce identical service orders on every run.
+//
+// Ownership contract: a scheduler holds a request from Add until Pick
+// returns it, and keeps no reference to it afterwards. The engine
+// recycles requests once they complete, so a pointer retained past Pick
+// would later alias an unrelated request.
 type Scheduler interface {
 	// Name identifies the policy in reports ("fcfs", "sstf", "deadline").
 	Name() string
@@ -57,9 +70,10 @@ type Scheduler interface {
 	Add(r *Request)
 
 	// Pick removes and returns the request to service next among those
-	// with Arrival <= now. pos is the device byte offset one past the
-	// previously serviced request (the head position proxy for seek-aware
-	// policies). Returns nil if no queued request is eligible yet.
+	// with Arrival <= now, dropping every reference to it. pos is the
+	// device byte offset one past the previously serviced request (the
+	// head position proxy for seek-aware policies). Returns nil if no
+	// queued request is eligible yet.
 	Pick(now simclock.Duration, pos int64) *Request
 
 	// Len reports the number of queued (not yet serviced) requests.
@@ -84,61 +98,80 @@ func arrivalLess(a, b *Request) bool {
 	return a.Arrival < b.Arrival || (a.Arrival == b.Arrival && a.seq < b.seq)
 }
 
-// arrivalHeap is a binary min-heap of requests under arrivalLess, with
-// lazy deletion: requests removed through an offset index stay in the
-// heap, marked picked, and are discarded when they reach the top.
+// arrivalHeap is a binary min-heap of requests under arrivalLess. Each
+// request records its position in hidx, so a request picked through an
+// offset index is deleted from the heap immediately: the heap never holds
+// a request the scheduler has handed back (see the ownership contract).
 type arrivalHeap []*Request
 
 func (h *arrivalHeap) push(r *Request) {
 	*h = append(*h, r)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !arrivalLess(s[i], s[parent]) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
+	h.up(len(*h)-1, r)
 }
 
-// peek returns the live minimum, discarding picked entries; nil if empty.
-func (h *arrivalHeap) peek() *Request {
-	for len(*h) > 0 {
-		if top := (*h)[0]; !top.picked {
-			return top
-		}
-		h.pop()
+// min returns the earliest (Arrival, seq) request; nil if empty.
+func (h arrivalHeap) min() *Request {
+	if len(h) == 0 {
+		return nil
 	}
-	return nil
+	return h[0]
 }
 
-func (h *arrivalHeap) pop() *Request {
+// remove deletes r, which must be in the heap.
+func (h *arrivalHeap) remove(r *Request) {
 	s := *h
-	top := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
+	i, last := int(r.hidx), len(s)-1
+	moved := s[last]
 	s[last] = nil
 	s = s[:last]
 	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(s) && arrivalLess(s[l], s[smallest]) {
-			smallest = l
-		}
-		if r < len(s) && arrivalLess(s[r], s[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
+	r.hidx = -1
+	if i == last {
+		return
+	}
+	// Fill the hole with the former last entry, sifting it whichever way
+	// restores the order.
+	if i > 0 && arrivalLess(moved, s[(i-1)/2]) {
+		h.up(i, moved)
+	} else {
+		h.down(i, moved)
+	}
+}
+
+// up places r into the hole at i, moving larger ancestors down.
+func (h arrivalHeap) up(i int, r *Request) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !arrivalLess(r, h[parent]) {
 			break
 		}
-		s[i], s[smallest] = s[smallest], s[i]
-		i = smallest
+		h[i] = h[parent]
+		h[i].hidx = int32(i)
+		i = parent
 	}
-	return top
+	h[i] = r
+	r.hidx = int32(i)
+}
+
+// down places r into the hole at i, moving smaller descendants up.
+func (h arrivalHeap) down(i int, r *Request) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && arrivalLess(h[c+1], h[c]) {
+			c++
+		}
+		if !arrivalLess(h[c], r) {
+			break
+		}
+		h[i] = h[c]
+		h[i].hidx = int32(i)
+		i = c
+	}
+	h[i] = r
+	r.hidx = int32(i)
 }
 
 // offIndex keeps queued requests sorted by (Off, seq), the key seek-aware
@@ -228,7 +261,6 @@ func (x offIndex) nearestEligible(now simclock.Duration, pos int64) *Request {
 // baseline: a single FIFO per device).
 type FCFS struct {
 	h arrivalHeap
-	n int
 }
 
 // NewFCFS returns a first-come-first-served scheduler.
@@ -238,30 +270,29 @@ func NewFCFS() *FCFS { return &FCFS{} }
 func (s *FCFS) Name() string { return "fcfs" }
 
 // Add implements Scheduler.
-func (s *FCFS) Add(r *Request) {
-	s.h.push(r)
-	s.n++
-}
+func (s *FCFS) Add(r *Request) { s.h.push(r) }
 
 // Pick implements Scheduler: earliest arrival, seq tie-break. The global
 // (Arrival, seq) minimum is the answer whenever it is eligible, and
 // nothing is eligible when it is not.
 func (s *FCFS) Pick(now simclock.Duration, pos int64) *Request {
-	r := s.h.peek()
+	r := s.h.min()
 	if r == nil || r.Arrival > now {
 		return nil
 	}
-	s.h.pop()
-	s.n--
+	s.h.remove(r)
 	return r
 }
 
 // Len implements Scheduler.
-func (s *FCFS) Len() int { return s.n }
+func (s *FCFS) Len() int { return len(s.h) }
 
 // MinArrival implements Scheduler.
-func (s *FCFS) MinArrival() (simclock.Duration, bool) {
-	r := s.h.peek()
+func (s *FCFS) MinArrival() (simclock.Duration, bool) { return s.h.minArrival() }
+
+// minArrival is MinArrival for every arrival-heap-backed scheduler.
+func (h arrivalHeap) minArrival() (simclock.Duration, bool) {
+	r := h.min()
 	if r == nil {
 		return 0, false
 	}
@@ -276,7 +307,6 @@ func (s *FCFS) MinArrival() (simclock.Duration, bool) {
 type SSTF struct {
 	h          arrivalHeap
 	x          offIndex
-	n          int
 	maxArrival simclock.Duration // high-water arrival: gates the indexed fast path
 }
 
@@ -290,7 +320,6 @@ func (s *SSTF) Name() string { return "sstf" }
 func (s *SSTF) Add(r *Request) {
 	s.h.push(r)
 	s.x.insert(r)
-	s.n++
 	if r.Arrival > s.maxArrival {
 		s.maxArrival = r.Arrival
 	}
@@ -299,7 +328,7 @@ func (s *SSTF) Add(r *Request) {
 // Pick implements Scheduler: minimum |Off - pos|, ties to the lower
 // offset (ascending sweep), then seq.
 func (s *SSTF) Pick(now simclock.Duration, pos int64) *Request {
-	if s.n == 0 {
+	if len(s.x) == 0 {
 		return nil
 	}
 	var r *Request
@@ -309,22 +338,15 @@ func (s *SSTF) Pick(now simclock.Duration, pos int64) *Request {
 		return nil
 	}
 	s.x.remove(r)
-	r.picked = true
-	s.n--
+	s.h.remove(r)
 	return r
 }
 
 // Len implements Scheduler.
-func (s *SSTF) Len() int { return s.n }
+func (s *SSTF) Len() int { return len(s.x) }
 
 // MinArrival implements Scheduler.
-func (s *SSTF) MinArrival() (simclock.Duration, bool) {
-	r := s.h.peek()
-	if r == nil {
-		return 0, false
-	}
-	return r.Arrival, true
-}
+func (s *SSTF) MinArrival() (simclock.Duration, bool) { return s.h.minArrival() }
 
 // Deadline is the Linux-deadline-style hybrid: requests are normally
 // serviced in SSTF order, but every request carries an expiry (arrival +
@@ -333,7 +355,6 @@ func (s *SSTF) MinArrival() (simclock.Duration, bool) {
 type Deadline struct {
 	h          arrivalHeap
 	x          offIndex
-	n          int
 	maxArrival simclock.Duration
 	quantum    simclock.Duration
 }
@@ -360,7 +381,6 @@ func (s *Deadline) Add(r *Request) {
 	r.Deadline = r.Arrival + s.quantum
 	s.h.push(r)
 	s.x.insert(r)
-	s.n++
 	if r.Arrival > s.maxArrival {
 		s.maxArrival = r.Arrival
 	}
@@ -370,12 +390,12 @@ func (s *Deadline) Add(r *Request) {
 // has expired, else SSTF order. With one constant quantum, (Deadline, seq)
 // order is (Arrival, seq) order, so the arrival heap serves expiry too.
 func (s *Deadline) Pick(now simclock.Duration, pos int64) *Request {
-	if s.n == 0 {
+	if len(s.x) == 0 {
 		return nil
 	}
 	var r *Request
 	if s.maxArrival <= now {
-		if oldest := s.h.peek(); oldest.Deadline <= now {
+		if oldest := s.h.min(); oldest.Deadline <= now {
 			r = oldest
 		} else {
 			r = s.x.nearest(pos)
@@ -387,8 +407,7 @@ func (s *Deadline) Pick(now simclock.Duration, pos int64) *Request {
 		}
 	}
 	s.x.remove(r)
-	r.picked = true
-	s.n--
+	s.h.remove(r)
 	return r
 }
 
@@ -414,16 +433,10 @@ func (s *Deadline) pickLinear(now simclock.Duration, pos int64) *Request {
 }
 
 // Len implements Scheduler.
-func (s *Deadline) Len() int { return s.n }
+func (s *Deadline) Len() int { return len(s.x) }
 
 // MinArrival implements Scheduler.
-func (s *Deadline) MinArrival() (simclock.Duration, bool) {
-	r := s.h.peek()
-	if r == nil {
-		return 0, false
-	}
-	return r.Arrival, true
-}
+func (s *Deadline) MinArrival() (simclock.Duration, bool) { return s.h.minArrival() }
 
 // NewScheduler builds a scheduler by policy name; it is the factory the
 // experiment sweeps select policies with.

@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"container/list"
 	"fmt"
 
 	"sleds/internal/device"
@@ -26,14 +25,24 @@ type Server struct {
 	disk device.Device // the server's disk, possibly wrapped by an injector
 	mem  *device.Mem
 
-	// server buffer cache, keyed by server-disk page.
-	cache    *list.List // *serverPage, front = MRU
-	index    map[int64]*list.Element
-	capacity int
+	// server buffer cache, keyed by server-disk page: an LRU list threaded
+	// through a slab of nodes, linked by slab index. The slab grows on
+	// demand up to capacity; after that an insert recycles the LRU node,
+	// so a warm server allocates nothing per read.
+	nodes      []lruNode
+	index      map[int64]int32 // page -> node
+	head, tail int32           // MRU and LRU nodes; nilNode when empty
+	capacity   int
 }
 
-// serverPage is one page resident in the server's cache.
-type serverPage struct{ page int64 }
+// lruNode is one page resident in the server's cache.
+type lruNode struct {
+	page       int64
+	prev, next int32 // toward the MRU and LRU ends; nilNode at either end
+}
+
+// nilNode terminates the LRU list.
+const nilNode = -1
 
 // NewServer builds a server from cfg. The caller fixes ServerDisk.ID and
 // ServerDisk.Name before calling: the disk is constructed exactly as
@@ -54,8 +63,9 @@ func NewServer(cfg Config, pageSize int64) (*Server, error) {
 		pageSize: pageSize,
 		disk:     device.NewDisk(cfg.ServerDisk),
 		mem:      device.NewMem(cfg.ServerMem),
-		cache:    list.New(),
-		index:    make(map[int64]*list.Element),
+		index:    make(map[int64]int32),
+		head:     nilNode,
+		tail:     nilNode,
 		capacity: cfg.ServerCachePages,
 	}, nil
 }
@@ -74,7 +84,7 @@ func (s *Server) ReplaceDisk(d device.Device) device.Device {
 }
 
 // CachedPages reports how many pages the server currently caches.
-func (s *Server) CachedPages() int { return s.cache.Len() }
+func (s *Server) CachedPages() int { return len(s.nodes) }
 
 // CachedBytes reports how many bytes of [off, off+n) the server's cache
 // holds right now, without touching recency — the basis for a client-side
@@ -99,25 +109,67 @@ func (s *Server) CachedBytes(off, n int64) int64 {
 
 // has reports and optionally refreshes residency of a server page.
 func (s *Server) has(page int64, touch bool) bool {
-	e, ok := s.index[page]
+	i, ok := s.index[page]
 	if ok && touch {
-		s.cache.MoveToFront(e)
+		s.moveToFront(i)
 	}
 	return ok
 }
 
 // insert adds a page to the server cache, evicting LRU.
 func (s *Server) insert(page int64) {
-	if e, ok := s.index[page]; ok {
-		s.cache.MoveToFront(e)
+	if i, ok := s.index[page]; ok {
+		s.moveToFront(i)
 		return
 	}
-	for s.cache.Len() >= s.capacity {
-		victim := s.cache.Back()
-		s.cache.Remove(victim)
-		delete(s.index, victim.Value.(*serverPage).page)
+	var i int32
+	if len(s.nodes) < s.capacity {
+		i = int32(len(s.nodes))
+		s.nodes = append(s.nodes, lruNode{})
+	} else {
+		// Full: the LRU node becomes the new page's.
+		i = s.tail
+		delete(s.index, s.nodes[i].page)
+		s.unlink(i)
 	}
-	s.index[page] = s.cache.PushFront(&serverPage{page: page})
+	s.nodes[i].page = page
+	s.index[page] = i
+	s.pushFront(i)
+}
+
+// moveToFront makes node i the MRU.
+func (s *Server) moveToFront(i int32) {
+	if s.head != i {
+		s.unlink(i)
+		s.pushFront(i)
+	}
+}
+
+// unlink detaches node i from the list, leaving its own links stale.
+func (s *Server) unlink(i int32) {
+	n := &s.nodes[i]
+	if n.prev != nilNode {
+		s.nodes[n.prev].next = n.next
+	} else {
+		s.head = n.next
+	}
+	if n.next != nilNode {
+		s.nodes[n.next].prev = n.prev
+	} else {
+		s.tail = n.prev
+	}
+}
+
+// pushFront links detached node i in as the MRU.
+func (s *Server) pushFront(i int32) {
+	n := &s.nodes[i]
+	n.prev, n.next = nilNode, s.head
+	if s.head != nilNode {
+		s.nodes[s.head].prev = i
+	} else {
+		s.tail = i
+	}
+	s.head = i
 }
 
 // ReadThrough charges one remote read of [off, off+n): RTT, then server
