@@ -110,10 +110,10 @@ determinism:
 	$(GO) run ./cmd/sledsbench -scale quick -exp efaults -runs 2 -faults heavy -workers 4 > /tmp/sledsbench-faults-w4.txt
 	diff /tmp/sledsbench-faults-w1.txt /tmp/sledsbench-faults-w4.txt
 	@echo "deterministic: fault injection is byte-identical at 1 and 4 workers"
-	$(GO) run ./cmd/sledsbench -scale quick -exp etrace,efleet -sledmemo on > /tmp/sledsbench-memo-on.txt
-	$(GO) run ./cmd/sledsbench -scale quick -exp etrace,efleet -sledmemo off > /tmp/sledsbench-memo-off.txt
+	$(GO) run ./cmd/sledsbench -scale quick -exp etrace,efleet,ehsm,eremote -sledmemo on > /tmp/sledsbench-memo-on.txt
+	$(GO) run ./cmd/sledsbench -scale quick -exp etrace,efleet,ehsm,eremote -sledmemo off > /tmp/sledsbench-memo-off.txt
 	diff /tmp/sledsbench-memo-on.txt /tmp/sledsbench-memo-off.txt
-	@echo "deterministic: etrace and efleet are byte-identical with the SLED skeleton memo on and off"
+	@echo "deterministic: etrace, efleet, ehsm and eremote are byte-identical with the SLED skeleton memo on and off"
 
 # trace-smoke drives the trace subsystem end to end: sledstrace
 # generates a trace, validates its own output, and the etrace experiment

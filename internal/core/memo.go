@@ -1,36 +1,43 @@
-// Skeleton memoization for FSLEDS_GET.
+// FSLEDS_GET as skeleton + overlay, with a memo of skeletons.
 //
 // Query's cost has two very different halves. The run/gap/zone
 // decomposition of a file — which sections are resident, which device
-// zone backs each gap — changes only when the cache's residency or the
-// table's configuration changes. The load and health terms folded into
-// each gap's latency change on practically every query. The memo caches
-// the first half per file as a *residency skeleton* (skelSeg vector with
-// unloaded base entries) and replays queries through a *dynamic overlay*
-// that samples the backing device once and re-estimates each segment in
-// O(devices + runs), never re-walking the residency index.
+// and device zone backs each gap — changes only when the cache's
+// residency, the table's configuration or a stager's migration state
+// changes. The load and health terms folded into each gap's latency
+// change on practically every query. Every query therefore builds (or
+// finds) the first half as a *residency skeleton* (a skelSeg vector
+// with unloaded base entries, each device segment naming its backing
+// device) and runs it through a *dynamic overlay* that samples each
+// backing device once and re-estimates each segment in
+// O(devices + segments).
 //
-// Invalidation is by epoch comparison, not notification: a lookup is
-// valid iff the file's residency epoch (cache splice counter), the
-// table's config epoch (SetMemory/SetDevice/SetDeviceZones/SetLoad
-// counter) and the inode geometry (size, extent, device) all match the
-// values captured at build time. Everything else that can change a SLED
-// vector — queue depth, in-flight time, fault penalties and their decay,
-// half-life changes, health resets — is sampled fresh by the overlay on
-// every query, exactly as the direct walk samples it, so it needs no
-// epoch (the mutator-audit tests pin this). Staged (HSM) devices bypass
-// the memo entirely: a stager scatters pages across levels per its own
-// migration state, which no epoch covers.
+// The memo caches skeletons per file. Invalidation is by epoch
+// comparison, not notification: a lookup is valid iff the file's
+// residency epoch (cache splice counter), the table's config epoch
+// (SetMemory/SetDevice/SetDeviceZones/SetLoad counter) and the inode
+// geometry (size, extent, device) all match the values captured at
+// build time. Everything else that can change a SLED vector — queue
+// depth, in-flight time, fault penalties and their decay, half-life
+// changes, health resets — is sampled fresh by the overlay on every
+// query, so it needs no epoch (the mutator-audit tests pin this). Two
+// kinds of query are never cached: files on a staged device (HSM or a
+// remote mount), whose stager moves pages between levels per its own
+// migration state, which no epoch covers; and every query at capacity
+// 0. Both build into the memo's scratch entry, which is never looked up
+// again and never counted in MemoStats.
 //
-// Bit-identity with the direct walk is load-bearing and relies on three
-// facts. First, the overlay calls sampleDevice at exactly the instants
-// the direct walk would — once per query, only when the file has
-// on-device gaps — so the lazy health decay (which is stateful and not
-// step-composable in floating point) advances identically on both paths.
-// Second, estimate() is a deterministic map from (base, sample) to
-// (entry, confidence): equal inputs give equal bits. Third, coalescing
-// is associative, so pre-merging adjacent skeleton segments with equal
-// base entries commutes with the direct walk's emit-time coalescing.
+// Bit-identity with the per-page reference scan (queryRef, test-only)
+// is load-bearing and relies on three facts. First, the overlay samples
+// exactly the devices that back some uncached page, each once per
+// query, in first-use order — so the lazy health decay (which is
+// stateful and not step-composable in floating point) advances exactly
+// as under the per-page scan, and a device missing from the table
+// errors after the same devices were sampled. Second, estimate() is a
+// deterministic map from (base, sample) to (entry, confidence): equal
+// inputs give equal bits. Third, coalescing is associative, so
+// pre-merging adjacent skeleton segments with the same device and base
+// entry commutes with the coalescing of the output vector.
 package core
 
 import (
@@ -49,14 +56,19 @@ import (
 const DefaultMemoFiles = 1024
 
 // skelSeg is one segment of a residency skeleton: a byte range of the
-// file together with the *unloaded* entry backing it. mem segments carry
-// the memory entry (confidence 1, no overlay term); device segments
-// carry the zone's base entry, to be run through the overlay's estimate.
+// file together with the *unloaded* entry backing it. Memory segments
+// (dev memSeg) carry the memory entry (confidence 1, no overlay term);
+// device segments carry the zone's base entry and the index of their
+// device in the entry's devs, to be run through that device's overlay
+// estimate.
 type skelSeg struct {
 	off, end int64 // byte range [off, end), end clamped to file size
-	mem      bool
+	dev      int   // index into memoEntry.devs, or memSeg
 	base     Entry
 }
+
+// memSeg is the dev of a resident (memory-backed) skeleton segment.
+const memSeg = -1
 
 // overlaySample is the dynamic state folded into one query, captured so
 // a repeat query under an identical sample can replay the previous
@@ -78,20 +90,20 @@ type memoKey struct {
 	ino vfs.Ino
 }
 
-// memoEntry is one file's cached skeleton plus the output of the most
-// recent overlay run. Buffers (segs, out) are retained across rebuilds
-// so the steady state — including the rebuild-after-epoch-bump path —
-// stays allocation-free.
+// memoEntry is one file's skeleton plus the output of the most recent
+// overlay run. Buffers (segs, devs, out) are retained across rebuilds
+// so the steady state — including the rebuild-after-epoch-bump path and
+// the uncached scratch path — stays allocation-free.
 type memoEntry struct {
 	key memoKey
 
-	ok       bool // false until a build succeeds (never cache errors)
+	ok       bool // false until the first build
 	resEpoch uint64
 	cfgEpoch uint64
 	size     int64
 	extent   int64
 	dev      device.ID
-	hasDev   bool // any device-backed segment (overlay must sample)
+	devs     []device.ID // devices backing gap segments, in first-use order
 	segs     []skelSeg
 
 	haveOut bool // out/sample hold the previous overlay run
@@ -118,6 +130,13 @@ type sledMemo struct {
 	front   *memoEntry
 	back    *memoEntry
 	stats   MemoStats
+
+	// scratch holds the skeleton of an uncached query (staged file or
+	// capacity 0): built, overlaid and dropped.
+	scratch memoEntry
+	// samples is per-query device state indexed like an entry's devs:
+	// zone cursors while building, overlay samples after.
+	samples []querySample
 }
 
 func newSledMemo(capacity int) *sledMemo {
@@ -181,10 +200,10 @@ func (m *sledMemo) install(key memoKey) *memoEntry {
 	return e
 }
 
-// query is the memoized FSLEDS_GET: epoch-checked lookup, skeleton
-// (re)build on miss, dynamic overlay on every call. The caller
-// (QueryAppend) has already routed directories, staged devices and
-// disabled memos to the direct walk.
+// query is FSLEDS_GET for a non-directory: epoch-checked lookup,
+// skeleton (re)build on miss, dynamic overlay on every call. Staged
+// files and capacity 0 skip the lookup and build into the scratch
+// entry.
 //
 //sledlint:hotpath
 func (m *sledMemo) query(dst []SLED, k *vfs.Kernel, t *Table, n *vfs.Inode) ([]SLED, error) {
@@ -194,6 +213,10 @@ func (m *sledMemo) query(dst []SLED, k *vfs.Kernel, t *Table, n *vfs.Inode) ([]S
 	size := n.Size()
 	if size == 0 {
 		return dst[:0], nil
+	}
+	if m.cap <= 0 || k.DeviceStaged(n.Device()) {
+		m.build(&m.scratch, k, t, n)
+		return m.overlay(&m.scratch, dst, t, k, n)
 	}
 	resEpoch := k.ResidencyEpoch(n)
 	key := memoKey{k: k, ino: n.Ino()}
@@ -209,34 +232,32 @@ func (m *sledMemo) query(dst []SLED, k *vfs.Kernel, t *Table, n *vfs.Inode) ([]S
 		e = m.install(key)
 	}
 	m.stats.Misses++
-	if err := t.buildSkeleton(e, k, n); err != nil {
-		// Never cache an errored build: the error must repeat on every
-		// call exactly as the direct walk would repeat it.
-		e.ok = false
-		return nil, err
-	}
+	m.build(e, k, t, n)
 	e.ok = true
 	e.resEpoch = resEpoch
 	e.cfgEpoch = t.cfgEpoch
 	e.size = size
 	e.extent = n.Extent()
 	e.dev = n.Device()
-	e.haveOut = false
 	return m.overlay(e, dst, t, k, n)
 }
 
-// buildSkeleton derives n's residency skeleton into e (reusing e.segs),
-// replicating the direct walk's run/gap/zone decomposition exactly: the
-// same run clamping, the same monotone zone cursor, the same segment-end
-// arithmetic and the same defensive progress guarantee — minus the
-// load/health estimation, which the overlay owns.
+// build derives n's residency skeleton into e, reusing e's buffers.
+// Resident runs become memory segments. Each gap is cut where its
+// backing device's zone changes, found with a monotone per-device zone
+// cursor, so a file on an unstaged device costs O(runs + zones). On a
+// staged device the gap is also cut at every page, and the stager names
+// the device backing each page. A device missing from the table still
+// gets its segments (with a zero base): the overlay raises the error
+// when it samples that device, in the per-page scan's order.
 //
 //sledlint:hotpath
-func (t *Table) buildSkeleton(e *memoEntry, k *vfs.Kernel, n *vfs.Inode) error {
+func (m *sledMemo) build(e *memoEntry, k *vfs.Kernel, t *Table, n *vfs.Inode) {
 	size := n.Size()
 	ps := int64(k.PageSize())
 	pages := (size + ps - 1) / ps
 	extent := n.Extent()
+	staged := k.DeviceStaged(n.Device())
 	runs := k.ResidentRuns(n)
 
 	est := 2*len(runs) + 1
@@ -247,48 +268,28 @@ func (t *Table) buildSkeleton(e *memoEntry, k *vfs.Kernel, n *vfs.Inode) error {
 	if cap(segs) < est {
 		segs = make([]skelSeg, 0, est)
 	}
-	hasDev := false
+	devs := e.devs[:0]
+	curs := m.samples[:0]
 
-	// add appends pages [from, to) backed by base, merging with the
-	// previous segment when contiguous and identically backed (safe:
-	// equal bases give equal estimates, which the direct walk's emit
-	// would coalesce anyway).
-	add := func(from, to int64, mem bool, base Entry) {
-		offB := from * ps
-		endB := to * ps
-		if endB > size {
-			endB = size
-		}
-		if l := len(segs) - 1; l >= 0 && segs[l].mem == mem && segs[l].base == base && segs[l].end == offB {
-			segs[l].end = endB
-			return
-		}
-		segs = append(segs, skelSeg{off: offB, end: endB, mem: mem, base: base})
-	}
-
-	// The zone cursor over the primary device, initialized lazily on the
-	// first gap so a fully resident file on an unknown device builds a
-	// valid (all-memory) skeleton without erroring — the direct walk's
-	// behaviour.
-	var zcur querySample
-	haveZcur := false
-	gap := func(from, to int64) error {
-		if !haveZcur {
-			haveZcur = true
-			if zs, ok := t.zones[n.Device()]; ok {
-				zcur.zones, zcur.ok = zs, true
-			} else if ent, ok := t.devs[n.Device()]; ok {
-				zcur.single, zcur.ok = ent, true
-			}
-		}
-		if !zcur.ok {
-			return fmt.Errorf("core: no sleds table entry for device %d (file %q)", n.Device(), n.Name())
-		}
-		hasDev = true
+	gap := func(from, to int64) {
 		for p := from; p < to; {
-			base, until := zcur.entryAt(extent + p*ps)
+			id := n.Device()
+			if staged {
+				id = k.DeviceForPage(n, p)
+			}
+			di := 0
+			for di < len(devs) && devs[di] != id {
+				di++
+			}
+			if di == len(devs) {
+				devs = append(devs, id)
+				curs = append(curs, t.cursor(id))
+			}
+			base, until := curs[di].entryAt(extent + p*ps)
 			segEnd := to
-			if until != math.MaxInt64 {
+			if staged {
+				segEnd = p + 1
+			} else if until != math.MaxInt64 {
 				// First page whose start offset reaches the next zone.
 				if q := (until - extent + ps - 1) / ps; q < segEnd {
 					segEnd = q
@@ -297,10 +298,9 @@ func (t *Table) buildSkeleton(e *memoEntry, k *vfs.Kernel, n *vfs.Inode) error {
 			if segEnd <= p {
 				segEnd = p + 1 // defensive: guarantee progress
 			}
-			add(p, segEnd, false, base)
+			segs = appendSeg(segs, p*ps, min(segEnd*ps, size), di, base)
 			p = segEnd
 		}
-		return nil
 	}
 
 	cursor := int64(0)
@@ -316,47 +316,43 @@ func (t *Table) buildSkeleton(e *memoEntry, k *vfs.Kernel, n *vfs.Inode) error {
 			continue
 		}
 		if cursor < start {
-			if err := gap(cursor, start); err != nil {
-				e.segs = segs
-				return err
-			}
+			gap(cursor, start)
 		}
-		add(start, end, true, t.mem)
+		segs = appendSeg(segs, start*ps, min(end*ps, size), memSeg, t.mem)
 		cursor = end
 	}
 	if cursor < pages {
-		if err := gap(cursor, pages); err != nil {
-			e.segs = segs
-			return err
-		}
+		gap(cursor, pages)
 	}
-	e.segs = segs
-	e.hasDev = hasDev
-	return nil
+	e.segs, e.devs, m.samples = segs, devs, curs
+	e.haveOut = false
 }
 
-// overlay folds the dynamic state into e's skeleton. The device is
-// sampled iff the skeleton has device-backed segments — the exact
-// instants the direct walk's lazy primary sample fires, which keeps the
-// stateful health decay advancing identically on both paths. When the
-// sample matches the previous overlay run bit for bit, the cached output
-// is replayed with a copy (never aliased: callers own dst and recycle it
-// across files).
+// overlay folds the dynamic state into e's skeleton. Each device in
+// e.devs is sampled once, in first-use order, and errors there if the
+// table has no entry for it. When a single-device entry's sample
+// matches its previous overlay run bit for bit, the cached output is
+// replayed with a copy (never aliased: callers own dst and recycle it
+// across files). The scratch entry retains nothing.
 //
 //sledlint:hotpath
 func (m *sledMemo) overlay(e *memoEntry, dst []SLED, t *Table, k *vfs.Kernel, n *vfs.Inode) ([]SLED, error) {
-	var qs querySample
-	if e.hasDev {
-		qs = t.sampleDevice(e.dev, k.Clock.Now())
-		if !qs.ok {
-			// Unreachable while table entries cannot be removed (any
-			// entry change bumps cfgEpoch), but kept equivalent to the
-			// direct walk's error for defense in depth.
-			return nil, fmt.Errorf("core: no sleds table entry for device %d (file %q)", e.dev, n.Name())
+	now := k.Clock.Now()
+	samples := m.samples[:0]
+	for _, id := range e.devs {
+		s := t.sampleDevice(id, now)
+		if !s.ok {
+			return nil, fmt.Errorf("core: no sleds table entry for device %d (file %q)", id, n.Name())
 		}
+		samples = append(samples, s)
 	}
-	dyn := overlaySample{load: qs.load, depth: qs.depth, rem: qs.rem, pen: qs.pen}
-	if e.haveOut && dyn == e.sample {
+	m.samples = samples
+
+	var dyn overlaySample
+	if len(samples) == 1 {
+		dyn = overlaySample{load: samples[0].load, depth: samples[0].depth, rem: samples[0].rem, pen: samples[0].pen}
+	}
+	if e.haveOut && len(e.devs) <= 1 && dyn == e.sample {
 		m.stats.FastCopies++
 		out := dst[:0]
 		if cap(out) < len(e.out) {
@@ -373,12 +369,15 @@ func (m *sledMemo) overlay(e *memoEntry, dst []SLED, t *Table, k *vfs.Kernel, n 
 	}
 	for i := range e.segs {
 		s := &e.segs[i]
-		if s.mem {
+		if s.dev == memSeg {
 			out = appendSLED(out, s.off, s.end-s.off, s.base, 1)
 		} else {
-			ent, conf := qs.estimate(s.base)
+			ent, conf := samples[s.dev].estimate(s.base)
 			out = appendSLED(out, s.off, s.end-s.off, ent, conf)
 		}
+	}
+	if e == &m.scratch {
+		return out, nil
 	}
 
 	// Retain this run's output for the next sample-equal query.
@@ -394,9 +393,22 @@ func (m *sledMemo) overlay(e *memoEntry, dst []SLED, t *Table, k *vfs.Kernel, n 
 	return out, nil
 }
 
+// appendSeg appends the byte range [off, end) backed by dev and base to
+// segs, merging with the previous segment when contiguous and backed by
+// the same device and entry (safe: equal inputs give equal estimates,
+// which the output would coalesce anyway).
+//
+//sledlint:hotpath
+func appendSeg(segs []skelSeg, off, end int64, dev int, base Entry) []skelSeg {
+	if l := len(segs) - 1; l >= 0 && segs[l].dev == dev && segs[l].base == base && segs[l].end == off {
+		segs[l].end = end
+		return segs
+	}
+	return append(segs, skelSeg{off: off, end: end, dev: dev, base: base})
+}
+
 // appendSLED appends one estimated section to out, coalescing with the
-// previous SLED when contiguous and estimate-equal — the same criterion
-// as the direct walk's emit.
+// previous SLED when contiguous and estimate-equal.
 //
 //sledlint:hotpath
 func appendSLED(out []SLED, off, length int64, e Entry, conf float64) []SLED {

@@ -36,14 +36,13 @@ func memoFile(t testing.TB, k *vfs.Kernel, disk device.ID, path string, pages in
 	return n
 }
 
-// TestMemoDifferentialProperty is the differential property suite the
-// tentpole's correctness bar names: randomized interleavings of reads
-// (cache inserts + evictions), page invalidations, fault observations,
-// health decay across virtual time, load changes and half-life changes,
-// over several files, with the memoized Query compared bit-for-bit
-// against the direct walk and the per-page reference after every step —
-// at memo capacities including 0 (disabled) and 1 (every file switch
-// thrashes the LRU).
+// TestMemoDifferentialProperty is the memo's differential property
+// suite: randomized interleavings of reads (cache inserts + evictions),
+// page invalidations, fault observations, health decay across virtual
+// time, load changes and half-life changes, over several files, with the
+// memoized Query compared bit-for-bit against an uncached query and the
+// per-page reference after every step — at memo capacities including 0
+// (disabled) and 1 (every file switch thrashes the LRU).
 func TestMemoDifferentialProperty(t *testing.T) {
 	for _, capN := range []int{0, 1, 4, DefaultMemoFiles} {
 		capN := capN
@@ -133,11 +132,11 @@ func TestMemoDifferentialProperty(t *testing.T) {
 	}
 }
 
-// TestMemoMutatorAudit is the satellite bug-class audit: every mutation
+// TestMemoMutatorAudit is the memo's bug-class audit: every mutation
 // that can change a future SLED vector either bumps an epoch (the memo
 // rebuilds: Misses advances) or is absorbed by the per-query overlay
 // sample (the skeleton is reused: Hits advances) — and in both cases the
-// memoized result stays bit-identical to the direct walk and the
+// memoized result stays bit-identical to an uncached query and the
 // per-page reference.
 func TestMemoMutatorAudit(t *testing.T) {
 	cases := []struct {
@@ -221,7 +220,8 @@ func TestMemoMutatorAudit(t *testing.T) {
 
 // TestMemoStagedBypass pins the HSM contract: files on a staged device
 // never enter the memo (the stager's migration state is outside every
-// epoch), and stage/destage churn therefore cannot stale it.
+// epoch; they build into its uncached scratch entry), and stage/destage
+// churn therefore cannot stale it.
 func TestMemoStagedBypass(t *testing.T) {
 	mem := device.NewMem(device.DefaultMemConfig(0))
 	k := vfs.NewKernel(vfs.Config{PageSize: testPage, CachePages: 32, Policy: cache.LRU, MemDevice: mem})

@@ -36,31 +36,33 @@ func equivMachine(t testing.TB, cachePages int, pol cache.Policy) (*vfs.Kernel, 
 	return k, disk, tab
 }
 
-// mustMatchRef asserts Query (memoized by default), the direct walk and
-// the per-page reference produce byte-identical SLED vectors (or
-// identical errors) for the inode. Calling all three back to back at one
-// virtual instant is exact: the lazy health decay is idempotent at a
-// fixed now, so the first call brings the penalty current and the others
-// observe the same bits.
+// mustMatchRef asserts Query (memoized by default), a fresh
+// zero-capacity memo's query (which builds into its scratch entry and
+// leaves the table's memo state alone) and the per-page reference
+// produce byte-identical SLED vectors (or identical errors) for the
+// inode. Calling all three back to back at one virtual instant is
+// exact: the lazy health decay is idempotent at a fixed now, so the
+// first call brings the penalty current and the others observe the
+// same bits.
 func mustMatchRef(t *testing.T, k *vfs.Kernel, tab *Table, n *vfs.Inode) []SLED {
 	t.Helper()
 	got, gotErr := Query(k, tab, n)
-	direct, directErr := queryDirect(nil, k, tab, n)
+	cold, coldErr := newSledMemo(0).query(nil, k, tab, n)
 	want, wantErr := queryRef(k, tab, n)
-	if (gotErr == nil) != (wantErr == nil) || (directErr == nil) != (wantErr == nil) {
-		t.Fatalf("error divergence: new=%v direct=%v ref=%v", gotErr, directErr, wantErr)
+	if (gotErr == nil) != (wantErr == nil) || (coldErr == nil) != (wantErr == nil) {
+		t.Fatalf("error divergence: new=%v cold=%v ref=%v", gotErr, coldErr, wantErr)
 	}
 	if gotErr != nil {
-		if gotErr.Error() != wantErr.Error() || directErr.Error() != wantErr.Error() {
-			t.Fatalf("error text divergence:\nnew: %v\ndirect: %v\nref: %v", gotErr, directErr, wantErr)
+		if gotErr.Error() != wantErr.Error() || coldErr.Error() != wantErr.Error() {
+			t.Fatalf("error text divergence:\nnew: %v\ncold: %v\nref: %v", gotErr, coldErr, wantErr)
 		}
 		return nil
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("SLED vector divergence:\nnew: %v\nref: %v", got, want)
 	}
-	if !reflect.DeepEqual(direct, want) {
-		t.Fatalf("SLED vector divergence:\ndirect: %v\nref: %v", direct, want)
+	if !reflect.DeepEqual(cold, want) {
+		t.Fatalf("SLED vector divergence:\ncold: %v\nref: %v", cold, want)
 	}
 	if err := Validate(got, n.Size()); err != nil {
 		t.Fatal(err)
@@ -177,63 +179,174 @@ func TestQueryEquivalenceDegraded(t *testing.T) {
 	}
 }
 
-// TestQueryEquivalenceHSM stages part of a tape file to disk and caches
-// part of the staged range in RAM, producing the three-level vector the
-// stager path must classify identically to the per-page scan.
+// hsmMachine boots a machine whose tape is fronted by an HSM stager
+// migrating blocks to the disk. The table holds the memory entry only;
+// callers install the device entries.
+func hsmMachine(t testing.TB, cachePages int, pol cache.Policy, size int64) (k *vfs.Kernel, tape, disk device.ID, tab *Table) {
+	t.Helper()
+	mem := device.NewMem(device.DefaultMemConfig(0))
+	k = vfs.NewKernel(vfs.Config{PageSize: testPage, CachePages: cachePages, Policy: pol, MemDevice: mem})
+	k.AttachDevice(mem)
+	disk = k.AttachDevice(device.NewDisk(device.DefaultDiskConfig(1)))
+	tape = k.AttachDevice(device.NewTapeLibrary(device.DefaultTapeLibraryConfig(2)))
+	if err := k.MkdirAll("/d"); err != nil {
+		t.Fatal(err)
+	}
+	tab = NewTable()
+	if err := tab.SetMemory(Entry{Latency: 175e-9, Bandwidth: 48 * (1 << 20)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hsm.New(k, hsm.Config{Tape: tape, Disk: disk, BlockSize: 8 * testPage, Capacity: size / 2}); err != nil {
+		t.Fatal(err)
+	}
+	return k, tape, disk, tab
+}
+
+// hsmEquiv is the staged-file equivalence property: a tape file under
+// an HSM stager, driven through reads (stage-ins and cache churn), page
+// invalidations, fault observations on either level and clock advances
+// across penalty half-lives, must match the per-page scan after every
+// step. Both leave staged-but-not-resident ranges: LRU and FIFO get a
+// page cache smaller than the stager's disk area, and CLOCK gets one
+// larger than the file (the pre-existing vfs hazard
+// TestQueryEquivalenceProperty documents), relying on the invalidations. sameEntries
+// gives tape and disk identical table entries, so only the per-device
+// samples tell their pages apart; missingDisk leaves the disk out of the
+// table, so any staged-but-not-resident page must raise the reference's
+// error.
+func hsmEquiv(t *testing.T, pol cache.Policy, ops []uint16, zoned, loaded, sameEntries, missingDisk bool) {
+	size := int64(80 * testPage)
+	pages := size / testPage
+	capacity := 32
+	if pol == cache.Clock {
+		capacity = 96
+	}
+	k, tape, disk, tab := hsmMachine(t, capacity, pol, size)
+	tapeEntry := Entry{Latency: 40, Bandwidth: 2 * (1 << 20)}
+	diskEntry := Entry{Latency: 18e-3, Bandwidth: 9 * (1 << 20)}
+	if sameEntries {
+		diskEntry = tapeEntry
+	}
+	if err := tab.SetDevice(tape, tapeEntry); err != nil {
+		t.Fatal(err)
+	}
+	switch {
+	case missingDisk:
+	case zoned:
+		if err := tab.SetDeviceZones(disk, []ZoneEntry{
+			{FromByte: 0, Entry: diskEntry},
+			{FromByte: 13*testPage + 777, Entry: Entry{Latency: 22e-3, Bandwidth: 6 * (1 << 20)}},
+			{FromByte: 41 * testPage, Entry: diskEntry},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	default:
+		if err := tab.SetDevice(disk, diskEntry); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if loaded {
+		tab.SetLoad(&fakeLoad{
+			depth: map[device.ID]int{tape: 1, disk: 2},
+			rem:   map[device.ID]simclock.Duration{tape: 3 * simclock.Millisecond, disk: simclock.Millisecond},
+		})
+	}
+	n, err := k.Create("/d/f", tape, workload.NewText(9, size, testPage))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fh, err := k.Open("/d/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fh.Close()
+	buf := make([]byte, 12*testPage)
+	for _, op := range ops {
+		arg := int64(op >> 3)
+		switch op & 7 {
+		case 0, 1, 2: // read: stage-ins, cache inserts and evictions
+			off := (arg % pages) * testPage
+			ln := (arg%6 + 1) * 2 * testPage
+			if _, err := fh.ReadAt(buf[:ln], off); err != nil && err != io.EOF {
+				t.Fatal(err)
+			}
+		case 3: // invalidate one page: splices a run
+			k.Cache().Invalidate(cache.Key{File: uint64(n.Ino()), Page: arg % pages})
+		case 4: // fault on the tape
+			tab.ObserveFault(tape, simclock.Duration(arg%50+1)*simclock.Millisecond, k.Clock.Now())
+		case 5: // fault on the disk
+			tab.ObserveFault(disk, simclock.Duration(arg%50+1)*simclock.Millisecond, k.Clock.Now())
+		default: // decay across penalty half-lives
+			k.Clock.Advance(simclock.Duration(arg%90+1) * simclock.Second)
+		}
+		mustMatchRef(t, k, tab, n)
+	}
+}
+
+// TestQueryEquivalenceHSM runs the staged-file property under LRU, CLOCK
+// and FIFO, plus one fixed case that defeats a skeleton merging
+// segments across devices: tape and disk share a table entry and only
+// the disk has faulted, so an unstaged tape page and an adjacent
+// staged-but-not-resident disk page differ only in their device's
+// sample.
 func TestQueryEquivalenceHSM(t *testing.T) {
 	for _, pol := range []cache.Policy{cache.LRU, cache.Clock, cache.FIFO} {
 		pol := pol
 		t.Run(pol.String(), func(t *testing.T) {
-			mem := device.NewMem(device.DefaultMemConfig(0))
-			k := vfs.NewKernel(vfs.Config{PageSize: testPage, CachePages: 32, Policy: pol, MemDevice: mem})
-			k.AttachDevice(mem)
-			disk := k.AttachDevice(device.NewDisk(device.DefaultDiskConfig(1)))
-			tape := k.AttachDevice(device.NewTapeLibrary(device.DefaultTapeLibraryConfig(2)))
-			if err := k.MkdirAll("/d"); err != nil {
+			// Stage and cache pages 60..72 and 30..36, punch page 33,
+			// then fault the disk.
+			hsmEquiv(t, pol, []uint16{60<<3 | 0, 30<<3 | 2, 33<<3 | 3, 7<<3 | 5}, false, false, true, false)
+			f := func(ops []uint16, zoned, loaded, sameEntries, missingDisk bool) bool {
+				hsmEquiv(t, pol, ops, zoned, loaded, sameEntries, missingDisk)
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 				t.Fatal(err)
-			}
-			tab := NewTable()
-			if err := tab.SetMemory(Entry{Latency: 175e-9, Bandwidth: 48 * (1 << 20)}); err != nil {
-				t.Fatal(err)
-			}
-			if err := tab.SetDevice(disk, Entry{Latency: 18e-3, Bandwidth: 9 * (1 << 20)}); err != nil {
-				t.Fatal(err)
-			}
-			if err := tab.SetDevice(tape, Entry{Latency: 40, Bandwidth: 2 * (1 << 20)}); err != nil {
-				t.Fatal(err)
-			}
-			size := int64(80 * testPage)
-			if _, err := hsm.New(k, hsm.Config{Tape: tape, Disk: disk, BlockSize: 8 * testPage, Capacity: size / 2}); err != nil {
-				t.Fatal(err)
-			}
-			n, err := k.Create("/d/f", tape, workload.NewText(9, size, testPage))
-			if err != nil {
-				t.Fatal(err)
-			}
-			fh, err := k.Open("/d/f")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer fh.Close()
-			// Stage and partially cache the tail, then a bit of the middle;
-			// the tiny page cache evicts parts of what was staged, leaving
-			// staged-but-not-resident ranges.
-			buf := make([]byte, 20*testPage)
-			if _, err := fh.ReadAt(buf, size-20*testPage); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := fh.ReadAt(buf[:6*testPage], 30*testPage); err != nil {
-				t.Fatal(err)
-			}
-			sleds := mustMatchRef(t, k, tab, n)
-			levels := map[float64]bool{}
-			for _, s := range sleds {
-				levels[s.Bandwidth] = true
-			}
-			if len(levels) < 3 {
-				t.Fatalf("expected RAM+disk+tape levels, got %d in %v", len(levels), sleds)
 			}
 		})
+	}
+}
+
+// TestQueryStagedAllocsZero pins the staged path at zero allocations:
+// a warm QueryAppend of an HSM-staged file builds into the memo's
+// scratch entry and samples both levels into retained buffers.
+func TestQueryStagedAllocsZero(t *testing.T) {
+	size := int64(80 * testPage)
+	k, tape, disk, tab := hsmMachine(t, 32, cache.LRU, size)
+	if err := tab.SetDevice(tape, Entry{Latency: 40, Bandwidth: 2 * (1 << 20)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.SetDevice(disk, Entry{Latency: 18e-3, Bandwidth: 9 * (1 << 20)}); err != nil {
+		t.Fatal(err)
+	}
+	n, err := k.Create("/d/f", tape, workload.NewText(9, size, testPage))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fh, err := k.Open("/d/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fh.Close()
+	buf := make([]byte, 12*testPage)
+	if _, err := fh.ReadAt(buf, 40*testPage); err != nil {
+		t.Fatal(err)
+	}
+	tab.ObserveFault(disk, 20*simclock.Millisecond, k.Clock.Now())
+	var scratch []SLED
+	warm := func() {
+		out, err := QueryAppend(scratch, k, tab, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch = out
+	}
+	warm()
+	if len(scratch) < 3 {
+		t.Fatalf("want RAM, disk and tape sections, got %v", scratch)
+	}
+	if a := testing.AllocsPerRun(10, warm); a != 0 {
+		t.Fatalf("warm staged query allocates %.0f/op, want 0", a)
 	}
 }
 

@@ -125,8 +125,8 @@ type Table struct {
 	// resets, half-life changes, load *values* behind an attached source —
 	// deliberately do not bump it; see the memo's overlay.
 	cfgEpoch uint64
-	// memo caches residency skeletons per (kernel, inode); nil when
-	// memoization is disabled (SetMemoCapacity(0)).
+	// memo builds and caches residency skeletons per (kernel, inode);
+	// at capacity 0 it caches none.
 	memo *sledMemo
 }
 
@@ -159,34 +159,20 @@ func NewTable() *Table {
 }
 
 // SetMemoCapacity bounds the skeleton memo at n files (LRU over files),
-// dropping any cached skeletons; n <= 0 disables memoization entirely,
-// restoring the direct walk for every query. Query results are
-// bit-identical at every setting — the knob exists for ablation and for
-// capping memory on machines querying very many files.
+// dropping any cached skeletons; n <= 0 disables memoization, so every
+// query builds its skeleton afresh. Query results are bit-identical at
+// every setting — the knob exists for ablation and for capping memory
+// on machines querying very many files.
 func (t *Table) SetMemoCapacity(n int) {
-	if n <= 0 {
-		t.memo = nil
-		return
-	}
-	t.memo = newSledMemo(n)
+	t.memo = newSledMemo(max(n, 0))
 }
 
 // MemoCapacity reports the skeleton memo's file capacity (0 = disabled).
-func (t *Table) MemoCapacity() int {
-	if t.memo == nil {
-		return 0
-	}
-	return t.memo.cap
-}
+func (t *Table) MemoCapacity() int { return t.memo.cap }
 
 // MemoStats returns a copy of the skeleton memo's activity counters
 // (zeroes when memoization is disabled).
-func (t *Table) MemoStats() MemoStats {
-	if t.memo == nil {
-		return MemoStats{}
-	}
-	return t.memo.stats
-}
+func (t *Table) MemoStats() MemoStats { return t.memo.stats }
 
 // SetHealthHalfLife overrides the fault-penalty decay half-life; hl <= 0
 // restores the default.
@@ -375,17 +361,6 @@ func (t *Table) underLoad(id device.ID, e Entry, now simclock.Duration) Entry {
 	return e
 }
 
-// DeviceUnderLoad returns the entry for a device with the current
-// queueing state folded into the latency — the estimate FSLEDS_GET
-// reports for this device's uncached pages at virtual time now.
-func (t *Table) DeviceUnderLoad(id device.ID, now simclock.Duration) (Entry, bool) {
-	e, ok := t.devs[id]
-	if !ok {
-		return e, false
-	}
-	return t.underLoad(id, e, now), true
-}
-
 // deviceAt returns the entry in effect at a device byte offset, consulting
 // zones when installed.
 func (t *Table) deviceAt(id device.ID, off int64) (Entry, bool) {
@@ -431,14 +406,21 @@ type querySample struct {
 	pen    float64
 }
 
-// sampleDevice captures a device's estimate state at virtual time now.
-func (t *Table) sampleDevice(id device.ID, now simclock.Duration) querySample {
+// cursor returns a device's zone cursor: its table entries, without
+// the dynamic load and health state.
+func (t *Table) cursor(id device.ID) querySample {
 	var s querySample
 	if zs, ok := t.zones[id]; ok {
 		s.zones, s.ok = zs, true
 	} else if e, ok := t.devs[id]; ok {
 		s.single, s.ok = e, true
 	}
+	return s
+}
+
+// sampleDevice captures a device's estimate state at virtual time now.
+func (t *Table) sampleDevice(id device.ID, now simclock.Duration) querySample {
+	s := t.cursor(id)
 	if !s.ok {
 		return s
 	}
@@ -492,13 +474,15 @@ func (s *querySample) estimate(base Entry) (Entry, float64) {
 // queueing state and fault degradation folded in). Residency is probed
 // without perturbing replacement state.
 //
-// The walk iterates the cache's coalesced residency runs rather than
-// individual pages: each run maps to the memory entry in one step, each
-// gap is classified with a monotone cursor over the device's zones, and
-// per-device load/health state is sampled once per query, so the cost is
-// O(runs + zones) instead of O(pages). The resulting vector is provably
-// identical to the per-page scan's (see the equivalence tests against
-// queryRef).
+// The query splits the file into a residency skeleton — the cache's
+// coalesced resident runs, and the gaps between them cut at device and
+// zone boundaries — and an overlay that samples each backing device's
+// load and health once per query and estimates each segment (memo.go).
+// A file on an unstaged device costs O(runs + zones) instead of
+// O(pages), and a repeat query whose residency and table config are
+// unchanged reuses the cached skeleton. The resulting vector is
+// provably identical to the per-page scan's (see the equivalence tests
+// against queryRef).
 func Query(k *vfs.Kernel, t *Table, n *vfs.Inode) ([]SLED, error) {
 	return QueryAppend(nil, k, t, n)
 }
@@ -509,166 +493,16 @@ func Query(k *vfs.Kernel, t *Table, n *vfs.Inode) ([]SLED, error) {
 // allocating per query. The result is valid until the next QueryAppend
 // reusing the same scratch.
 //
-// When the table's skeleton memo is enabled (the default), repeat queries
-// for a file whose residency and table config are unchanged skip the
-// residency walk entirely and replay the cached skeleton through the
-// dynamic overlay — O(devices + runs) with no index re-walk, bit-identical
-// to the direct walk (the differential property suite pins this). Staged
-// (HSM) devices and directories always take the direct walk: a stager
-// scatters pages across levels per its own migration state, which no
-// epoch covers.
-//
-// The steady-state path is allocation-free (BenchmarkQueryAppend pins
-// allocs/op at zero); hotalloc enforces the same statically.
+// The steady-state path is allocation-free, memoized or not, staged or
+// not (BenchmarkQueryAppend and the alloc tests pin allocs/op at zero);
+// hotalloc enforces the same statically.
 //
 //sledlint:hotpath
 func QueryAppend(dst []SLED, k *vfs.Kernel, t *Table, n *vfs.Inode) ([]SLED, error) {
-	if t.memo == nil || n.IsDir() || k.DeviceStaged(n.Device()) {
-		return queryDirect(dst, k, t, n)
-	}
-	return t.memo.query(dst, k, t, n)
-}
-
-// queryDirect is the full FSLEDS_GET walk over the residency index — the
-// memo-free implementation QueryAppend dispatches to for staged devices,
-// directories, and disabled memoization, and the oracle the memoized path
-// is property-tested bit-identical against (next to queryRef, the
-// original per-page scan).
-//
-//sledlint:hotpath
-func queryDirect(dst []SLED, k *vfs.Kernel, t *Table, n *vfs.Inode) ([]SLED, error) {
 	if n.IsDir() {
 		return nil, fmt.Errorf("core: %q is a directory", n.Name())
 	}
-	if !t.haveMem {
-		return nil, fmt.Errorf("core: sleds table has no memory entry (boot fill missing?)")
-	}
-	size := n.Size()
-	if size == 0 {
-		return dst[:0], nil
-	}
-	ps := int64(k.PageSize())
-	pages := (size + ps - 1) / ps
-	extent := n.Extent()
-	// The scan is one consistent snapshot: queueing state is sampled once
-	// at the query instant, like the residency bits.
-	now := k.Clock.Now()
-
-	runs := k.ResidentRuns(n)
-	staged := k.DeviceStaged(n.Device())
-
-	// Pre-size the output: at most one SLED per run, per gap, and per zone
-	// boundary falling inside a gap.
-	est := 2*len(runs) + 1
-	if zs, ok := t.zones[n.Device()]; ok {
-		est += len(zs) - 1
-	}
-	out := dst[:0]
-	if cap(out) < est {
-		out = make([]SLED, 0, est)
-	}
-
-	// emit appends pages [from, to) with the given estimates, coalescing
-	// with the previous SLED when contiguous and estimate-equal.
-	emit := func(from, to int64, e Entry, conf float64) {
-		offB := from * ps
-		endB := to * ps
-		if endB > size {
-			endB = size
-		}
-		cur := SLED{Offset: offB, Length: endB - offB, Latency: e.Latency, Bandwidth: e.Bandwidth, Confidence: conf}
-		if last := len(out) - 1; last >= 0 && out[last].SameEstimates(cur) && out[last].End() == cur.Offset {
-			out[last].Length += cur.Length
-		} else {
-			out = append(out, cur)
-		}
-	}
-
-	// Device samples: the primary (inode) device for the common case, and
-	// a lazy per-device map when a stager may scatter pages across levels.
-	var primary querySample
-	havePrimary := false
-	var samples map[device.ID]*querySample
-
-	// gap classifies the uncached pages [from, to).
-	gap := func(from, to int64) error {
-		if staged {
-			// DeviceForPage consults the stager per page: a tape file's
-			// staged pages report the disk's estimates, unstaged ones the
-			// tape's. Each distinct device is still sampled only once.
-			if samples == nil {
-				//sledlint:allow hotalloc -- staged (tape) files only, never the benchmarked steady state; bounded at one entry per device level
-				samples = make(map[device.ID]*querySample, 2)
-			}
-			for p := from; p < to; p++ {
-				dev := k.DeviceForPage(n, p)
-				s := samples[dev]
-				if s == nil {
-					sv := t.sampleDevice(dev, now)
-					s = &sv
-					samples[dev] = s
-				}
-				if !s.ok {
-					return fmt.Errorf("core: no sleds table entry for device %d (file %q)", dev, n.Name())
-				}
-				base, _ := s.entryAt(extent + p*ps)
-				e, conf := s.estimate(base)
-				emit(p, p+1, e, conf)
-			}
-			return nil
-		}
-		if !havePrimary {
-			primary = t.sampleDevice(n.Device(), now)
-			havePrimary = true
-		}
-		if !primary.ok {
-			return fmt.Errorf("core: no sleds table entry for device %d (file %q)", n.Device(), n.Name())
-		}
-		for p := from; p < to; {
-			base, until := primary.entryAt(extent + p*ps)
-			segEnd := to
-			if until != math.MaxInt64 {
-				// First page whose start offset reaches the next zone.
-				if q := (until - extent + ps - 1) / ps; q < segEnd {
-					segEnd = q
-				}
-			}
-			if segEnd <= p {
-				segEnd = p + 1 // defensive: guarantee progress
-			}
-			e, conf := primary.estimate(base)
-			emit(p, segEnd, e, conf)
-			p = segEnd
-		}
-		return nil
-	}
-
-	cursor := int64(0)
-	for _, r := range runs {
-		start, end := r.Start, r.End
-		if start < cursor {
-			start = cursor
-		}
-		if end > pages {
-			end = pages
-		}
-		if start >= end {
-			continue
-		}
-		if cursor < start {
-			if err := gap(cursor, start); err != nil {
-				return nil, err
-			}
-		}
-		emit(start, end, t.mem, 1)
-		cursor = end
-	}
-	if cursor < pages {
-		if err := gap(cursor, pages); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return t.memo.query(dst, k, t, n)
 }
 
 // Validate checks the structural invariants of a SLED vector for a file of

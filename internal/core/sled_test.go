@@ -404,16 +404,33 @@ func (l *fakeLoad) InFlightRemaining(id device.ID, now simclock.Duration) simclo
 	return l.rem[id]
 }
 
+// TestDeviceUnderLoadInflatesLatency checks the load term of the
+// estimate through production's query: a cold file is one SLED whose
+// latency is the disk entry with the queueing state folded in.
 func TestDeviceUnderLoadInflatesLatency(t *testing.T) {
-	_, disk, tab := testMachine(t, 64)
+	k, disk, tab := testMachine(t, 64)
 	base, ok := tab.Device(disk)
 	if !ok {
 		t.Fatal("no disk entry")
 	}
+	n, err := k.Create("/d/f", disk, workload.NewText(1, 10*testPage, testPage))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := func() Entry {
+		t.Helper()
+		sleds, err := Query(k, tab, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sleds) != 1 {
+			t.Fatalf("cold file gives %d SLEDs, want 1: %v", len(sleds), sleds)
+		}
+		return Entry{Latency: sleds[0].Latency, Bandwidth: sleds[0].Bandwidth}
+	}
 
 	// No load source attached: identical to the plain entry.
-	e, ok := tab.DeviceUnderLoad(disk, 0)
-	if !ok || e != base {
+	if e := cold(); e != base {
 		t.Fatalf("unloaded entry = %+v, want %+v", e, base)
 	}
 
@@ -422,10 +439,7 @@ func TestDeviceUnderLoadInflatesLatency(t *testing.T) {
 		rem:   map[device.ID]simclock.Duration{disk: 5 * simclock.Millisecond},
 	}
 	tab.SetLoad(load)
-	e, ok = tab.DeviceUnderLoad(disk, 0)
-	if !ok {
-		t.Fatal("entry vanished under load")
-	}
+	e := cold()
 	want := base.Latency*4 + 5e-3 // latency*(1+depth) + in-flight remaining
 	if math.Abs(e.Latency-want) > 1e-12 {
 		t.Fatalf("loaded latency = %v, want %v", e.Latency, want)
@@ -436,14 +450,14 @@ func TestDeviceUnderLoadInflatesLatency(t *testing.T) {
 
 	// Idle device through an attached source: no inflation.
 	load.depth[disk], load.rem[disk] = 0, 0
-	if e, _ := tab.DeviceUnderLoad(disk, 0); e != base {
+	if e := cold(); e != base {
 		t.Fatalf("idle loaded entry = %+v, want %+v", e, base)
 	}
 
 	// Detach: back to the plain entry even with stale load state around.
 	load.depth[disk] = 7
 	tab.SetLoad(nil)
-	if e, _ := tab.DeviceUnderLoad(disk, 0); e != base {
+	if e := cold(); e != base {
 		t.Fatalf("detached entry = %+v, want %+v", e, base)
 	}
 }

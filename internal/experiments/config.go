@@ -51,10 +51,10 @@ type Config struct {
 	// SLEDMemo controls the skeleton memo of the sleds table on every
 	// machine the experiments boot: "" or "on" keeps the default capacity
 	// (core.DefaultMemoFiles), "off" disables memoization, and a positive
-	// decimal sets the per-table file capacity. The memoized query path is
-	// bit-identical to the direct one, so every committed golden is
-	// byte-identical at any setting; the knob exists so the determinism
-	// target can prove that (sledsbench -sledmemo).
+	// decimal sets the per-table file capacity. Queries are bit-identical
+	// whether or not they reuse a cached skeleton, so every committed
+	// golden is byte-identical at any setting; the knob exists so the
+	// determinism target can prove that (sledsbench -sledmemo).
 	SLEDMemo string
 
 	// Ablation knobs (zero values reproduce the paper's setup).
