@@ -22,9 +22,9 @@
 package cache
 
 import (
-	"container/list"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Policy selects the replacement algorithm.
@@ -78,6 +78,22 @@ type fileIdx struct {
 	dirty int
 }
 
+// searchRuns returns the index of the first run ending at or after p
+// (len(runs) if none): a binary search written out so the hot insert and
+// eviction paths pass no closure to sort.Search.
+func searchRuns(runs []Run, p int64) int {
+	lo, hi := 0, len(runs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if runs[m].End < p {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
 // insert adds page p to the run vector, coalescing with neighbours. The
 // caller guarantees p is not already resident (the hash index is checked
 // first); a resident p is tolerated as a no-op for safety.
@@ -85,7 +101,7 @@ func (fi *fileIdx) insert(p int64) {
 	runs := fi.runs
 	// First run ending at or after p: the only candidates that contain or
 	// touch p on the left.
-	i := sort.Search(len(runs), func(i int) bool { return runs[i].End >= p })
+	i := searchRuns(runs, p)
 	if i < len(runs) && runs[i].Start <= p && p < runs[i].End {
 		return // already resident
 	}
@@ -115,7 +131,7 @@ func (fi *fileIdx) insert(p int64) {
 // interior. A non-resident p is a no-op.
 func (fi *fileIdx) remove(p int64) {
 	runs := fi.runs
-	i := sort.Search(len(runs), func(i int) bool { return runs[i].End > p })
+	i := searchRuns(runs, p+1)
 	if i >= len(runs) || runs[i].Start > p {
 		return // not resident
 	}
@@ -145,14 +161,20 @@ func (fi *fileIdx) pages() int64 {
 	return n
 }
 
-// frame is one resident page.
+// frame is one resident page: a node of the recency list, threaded
+// through the cache's frame slab by slab index.
 type frame struct {
-	key   Key
-	data  []byte
-	dirty bool
-	ref   bool   // CLOCK reference bit
-	stamp uint64 // recency stamp; mirrors list order (front = highest)
+	key        Key
+	data       []byte
+	stamp      uint64 // recency stamp; mirrors list order (front = highest)
+	prev, next int32  // toward the front and the back; nilFrame at either end
+	dirty      bool
+	ref        bool  // CLOCK reference bit
+	holds      int32 // outstanding Holds: pinned against eviction while > 0
 }
+
+// nilFrame terminates the recency list.
+const nilFrame = -1
 
 // EvictFn is called when a page leaves the cache. dirty reports whether
 // the page held unwritten data; the callee owns writing it back.
@@ -169,18 +191,29 @@ type Stats struct {
 
 // Cache is a fixed-capacity page cache. Not safe for concurrent use; the
 // simulated kernel is single-threaded.
+//
+// Frames live in a slab that grows on demand up to the capacity; the
+// recency list is threaded through it by slab index, and a freed slot is
+// reused last-in first-out, so a warm cache allocates nothing per insert
+// or eviction.
 type Cache struct {
 	capacity int
 	policy   Policy
 	onEvict  EvictFn
 
-	// order holds *frame in recency order: front = most recently used
-	// (LRU), or insertion order (FIFO/CLOCK with the hand at the back).
-	order *list.List
-	index map[Key]*list.Element
+	// frames is the slab; free lists its unused slots. The list runs from
+	// head (most recently used under LRU, newest under FIFO/CLOCK) to tail
+	// (the eviction end, where the CLOCK hand sits).
+	frames     []frame
+	free       []int32
+	head, tail int32
+	n          int // resident pages
+	index      map[Key]int32
 
 	// files is the per-file residency index, kept in lockstep with index.
+	// spare holds emptied records for reuse, run capacity included.
 	files map[uint64]*fileIdx
+	spare []*fileIdx
 	// epochs is the per-file residency epoch: bumped on every splice of a
 	// file's run vector (a fresh page inserted, a resident page evicted or
 	// invalidated). Dirty-bit changes (MarkDirty, Flush*) do not splice
@@ -191,12 +224,12 @@ type Cache struct {
 	// different residency behind it.
 	epochs map[uint64]uint64
 	// tick stamps every move-to-front/insertion so that a file's frames
-	// can be replayed in list order (descending stamp) without scanning
+	// can be replayed in list order (descending stamp) without walking
 	// the list.
 	tick uint64
 
 	// scratch is reused by the file-scoped collect operations.
-	scratch []*list.Element
+	scratch []int32
 
 	stats Stats
 }
@@ -212,8 +245,9 @@ func New(capacity int, policy Policy, onEvict EvictFn) *Cache {
 		capacity: capacity,
 		policy:   policy,
 		onEvict:  onEvict,
-		order:    list.New(),
-		index:    make(map[Key]*list.Element, capacity),
+		head:     nilFrame,
+		tail:     nilFrame,
+		index:    make(map[Key]int32, capacity),
 		files:    make(map[uint64]*fileIdx),
 		epochs:   make(map[uint64]uint64),
 	}
@@ -223,7 +257,7 @@ func New(capacity int, policy Policy, onEvict EvictFn) *Cache {
 func (c *Cache) Cap() int { return c.capacity }
 
 // Len returns the number of resident pages.
-func (c *Cache) Len() int { return c.order.Len() }
+func (c *Cache) Len() int { return c.n }
 
 // Policy returns the replacement policy.
 func (c *Cache) Policy() Policy { return c.policy }
@@ -234,34 +268,65 @@ func (c *Cache) Stats() Stats { return c.stats }
 // ResetStats zeroes the activity counters.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-// touch moves e to the front and restamps it. Stamps mirror list order —
-// a frame moved or pushed to the front always carries the highest stamp —
-// so file-scoped operations can reconstruct list order by sorting.
-func (c *Cache) touch(e *list.Element) {
-	c.order.MoveToFront(e)
+// unlink takes frame i out of the recency list.
+func (c *Cache) unlink(i int32) {
+	f := &c.frames[i]
+	if f.prev != nilFrame {
+		c.frames[f.prev].next = f.next
+	} else {
+		c.head = f.next
+	}
+	if f.next != nilFrame {
+		c.frames[f.next].prev = f.prev
+	} else {
+		c.tail = f.prev
+	}
+}
+
+// pushFront links frame i in at the head of the recency list.
+func (c *Cache) pushFront(i int32) {
+	f := &c.frames[i]
+	f.prev, f.next = nilFrame, c.head
+	if c.head != nilFrame {
+		c.frames[c.head].prev = i
+	} else {
+		c.tail = i
+	}
+	c.head = i
+}
+
+// touch moves frame i to the front and restamps it. Stamps mirror list
+// order — a frame moved or pushed to the front always carries the highest
+// stamp — so file-scoped operations can reconstruct list order by sorting.
+func (c *Cache) touch(i int32) {
+	if c.head != i {
+		c.unlink(i)
+		c.pushFront(i)
+	}
 	c.tick++
-	e.Value.(*frame).stamp = c.tick
+	c.frames[i].stamp = c.tick
 }
 
 // Get returns the page data if resident, updating recency state. The
 // returned slice aliases the cached frame; callers must not retain it
 // across evictions (the simulated kernel copies out immediately).
+//
+//sledlint:hotpath
 func (c *Cache) Get(k Key) ([]byte, bool) {
-	e, ok := c.index[k]
+	i, ok := c.index[k]
 	if !ok {
 		return nil, false
 	}
-	f := e.Value.(*frame)
 	switch c.policy {
 	case LRU:
-		c.touch(e)
+		c.touch(i)
 	case Clock:
-		f.ref = true
+		c.frames[i].ref = true
 	case FIFO:
 		// insertion order is never disturbed
 	}
 	c.stats.Hits++
-	return f.data, true
+	return c.frames[i].data, true
 }
 
 // Contains reports residency WITHOUT touching recency state. This is what
@@ -273,35 +338,90 @@ func (c *Cache) Contains(k Key) bool {
 	return ok
 }
 
+// Peek returns a resident page's data without touching recency state or
+// the hit count, like Contains.
+func (c *Cache) Peek(k Key) ([]byte, bool) {
+	if i, ok := c.index[k]; ok {
+		return c.frames[i].data, true
+	}
+	return nil, false
+}
+
 // RecordMiss notes that a lookup missed; kept separate from Get so that
 // pure residency probes don't inflate miss counts.
 func (c *Cache) RecordMiss() { c.stats.Misses++ }
+
+// Hold pins a resident page against eviction until a matching Release, as
+// a real kernel's page lock keeps a page that is being faulted in from
+// being reclaimed under it: the eviction sweep passes over a held frame
+// that it would otherwise evict and takes the next candidate instead. A
+// held page still ages, rotates and can be invalidated as usual (which
+// ends its holds). Holds nest. Reports whether the page was resident.
+func (c *Cache) Hold(k Key) bool {
+	i, ok := c.index[k]
+	if ok {
+		c.frames[i].holds++
+	}
+	return ok
+}
+
+// Release ends one Hold; a page that is no longer resident, or no longer
+// held, is ignored.
+func (c *Cache) Release(k Key) {
+	if i, ok := c.index[k]; ok && c.frames[i].holds > 0 {
+		c.frames[i].holds--
+	}
+}
 
 // fileOf returns the file's residency index, creating it if absent.
 func (c *Cache) fileOf(file uint64) *fileIdx {
 	fi := c.files[file]
 	if fi == nil {
-		fi = &fileIdx{}
+		if n := len(c.spare); n > 0 {
+			fi = c.spare[n-1]
+			c.spare = c.spare[:n-1]
+		} else {
+			//sledlint:allow hotalloc -- growth: runs only while the number of files with resident pages climbs to a new high
+			fi = &fileIdx{}
+		}
 		c.files[file] = fi
 	}
 	return fi
 }
 
-// unindex removes the frame from the hash index and the residency index
-// (the caller owns removing it from the list).
-func (c *Cache) unindex(f *frame) {
+// drop removes frame i from the list, the hash index and the residency
+// index, and frees its slot; it returns the frame as it was.
+func (c *Cache) drop(i int32) frame {
+	f := c.frames[i]
+	c.unlink(i)
+	c.frames[i] = frame{}
+	c.free = append(c.free, i)
+	c.n--
 	delete(c.index, f.key)
-	fi := c.files[f.key.File]
-	if fi == nil {
-		return
+	if fi := c.files[f.key.File]; fi != nil {
+		fi.remove(f.key.Page)
+		c.epochs[f.key.File]++
+		if f.dirty {
+			fi.dirty--
+		}
+		if len(fi.runs) == 0 {
+			delete(c.files, f.key.File)
+			fi.runs = fi.runs[:0]
+			c.spare = append(c.spare, fi)
+		}
 	}
-	fi.remove(f.key.Page)
-	c.epochs[f.key.File]++
+	return f
+}
+
+// evict drops frame i as an eviction: counted, and handed to onEvict.
+func (c *Cache) evict(i int32) {
+	f := c.drop(i)
+	c.stats.Evictions++
 	if f.dirty {
-		fi.dirty--
+		c.stats.DirtyEvictions++
 	}
-	if len(fi.runs) == 0 {
-		delete(c.files, f.key.File)
+	if c.onEvict != nil {
+		c.onEvict(f.key, f.data, f.dirty)
 	}
 }
 
@@ -310,9 +430,11 @@ func (c *Cache) unindex(f *frame) {
 // error (failure to find an eviction victim) is defensive — the bounded
 // CLOCK sweep always terminates — but the read path is fallible now, so
 // it is reported with context instead of panicking.
+//
+//sledlint:hotpath
 func (c *Cache) Insert(k Key, data []byte, dirty bool) error {
-	if e, ok := c.index[k]; ok {
-		f := e.Value.(*frame)
+	if i, ok := c.index[k]; ok {
+		f := &c.frames[i]
 		f.data = data
 		if dirty && !f.dirty {
 			f.dirty = true
@@ -320,20 +442,30 @@ func (c *Cache) Insert(k Key, data []byte, dirty bool) error {
 		}
 		switch c.policy {
 		case LRU:
-			c.touch(e)
+			c.touch(i)
 		case Clock:
 			f.ref = true
 		}
 		return nil
 	}
-	for c.order.Len() >= c.capacity {
+	for c.n >= c.capacity {
 		if err := c.evictOne(); err != nil {
 			return fmt.Errorf("cache: inserting file %d page %d: %w", k.File, k.Page, err)
 		}
 	}
+	var i int32
+	if n := len(c.free); n > 0 {
+		i = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		i = int32(len(c.frames))
+		c.frames = append(c.frames, frame{})
+	}
 	c.tick++
-	e := c.order.PushFront(&frame{key: k, data: data, dirty: dirty, stamp: c.tick})
-	c.index[k] = e
+	c.frames[i] = frame{key: k, data: data, dirty: dirty, stamp: c.tick}
+	c.pushFront(i)
+	c.n++
+	c.index[k] = i
 	fi := c.fileOf(k.File)
 	fi.insert(k.Page)
 	c.epochs[k.File]++
@@ -351,57 +483,48 @@ func (c *Cache) Insert(k Key, data []byte, dirty bool) error {
 // inserting; Insert still evicts on its own when room is short.
 func (c *Cache) EvictOne() error { return c.evictOne() }
 
-// evictOne removes one page according to the policy.
+// evictOne removes one page according to the policy: the back of the list
+// under LRU and FIFO; under CLOCK the back too, after a second-chance
+// sweep that clears referenced frames' bits and rotates them to the
+// front, bounded by 2n+1 steps. A held frame at the back that would be
+// the victim keeps its place, and the frame before it is the candidate.
+//
+//sledlint:hotpath
 func (c *Cache) evictOne() error {
-	var victim *list.Element
-	switch c.policy {
-	case LRU, FIFO:
-		victim = c.order.Back()
-	case Clock:
-		// Second chance: examine the back; if referenced, clear the bit
-		// and rotate to the front, else evict. Bounded by 2n iterations.
-		for i := 0; i < 2*c.order.Len()+1; i++ {
-			e := c.order.Back()
-			f := e.Value.(*frame)
-			if f.ref {
-				f.ref = false
-				c.touch(e)
-				continue
-			}
-			victim = e
+	victim := int32(nilFrame)
+	for step := 0; step < 2*c.n+1; step++ {
+		i := c.tail
+		if i != nilFrame && c.frames[i].holds > 0 && !c.frames[i].ref {
+			i = c.frames[i].prev
+		}
+		if i == nilFrame {
 			break
 		}
+		if c.frames[i].ref {
+			// Set only under CLOCK: a second chance.
+			c.frames[i].ref = false
+			c.touch(i)
+			continue
+		}
+		victim = i
+		break
 	}
-	if victim == nil {
+	if victim == nilFrame {
 		return fmt.Errorf("cache: no eviction victim found (%d resident of %d frames, policy %s)",
-			c.order.Len(), c.capacity, c.policy)
+			c.n, c.capacity, c.policy)
 	}
-	c.removeElement(victim)
+	c.evict(victim)
 	return nil
-}
-
-func (c *Cache) removeElement(e *list.Element) {
-	f := e.Value.(*frame)
-	c.order.Remove(e)
-	c.unindex(f)
-	c.stats.Evictions++
-	if f.dirty {
-		c.stats.DirtyEvictions++
-	}
-	if c.onEvict != nil {
-		c.onEvict(f.key, f.data, f.dirty)
-	}
 }
 
 // MarkDirty flags a resident page as modified; reports whether the page
 // was resident.
 func (c *Cache) MarkDirty(k Key) bool {
-	e, ok := c.index[k]
+	i, ok := c.index[k]
 	if !ok {
 		return false
 	}
-	f := e.Value.(*frame)
-	if !f.dirty {
+	if f := &c.frames[i]; !f.dirty {
 		f.dirty = true
 		c.fileOf(k.File).dirty++
 	}
@@ -411,45 +534,43 @@ func (c *Cache) MarkDirty(k Key) bool {
 // Invalidate drops a page if resident, without calling onEvict for clean
 // pages; dirty pages still flow through onEvict so data is not lost.
 func (c *Cache) Invalidate(k Key) {
-	e, ok := c.index[k]
+	i, ok := c.index[k]
 	if !ok {
 		return
 	}
-	f := e.Value.(*frame)
-	if !f.dirty {
-		c.order.Remove(e)
-		c.unindex(f)
+	if c.frames[i].dirty {
+		c.evict(i)
 		return
 	}
-	c.removeElement(e)
+	c.drop(i)
 }
 
 // collectFile gathers the file's resident frames — just the dirty ones
 // when dirtyOnly is set — in recency order (front of list first), using
-// the residency index and the stamps instead of a whole-cache scan. The
+// the residency index and the stamps instead of a whole-cache walk. The
 // result aliases c.scratch; callers consume it before the next collect.
-func (c *Cache) collectFile(file uint64, fi *fileIdx, dirtyOnly bool) []*list.Element {
-	els := c.scratch[:0]
+func (c *Cache) collectFile(file uint64, fi *fileIdx, dirtyOnly bool) []int32 {
+	idx := c.scratch[:0]
 	for _, r := range fi.runs {
 		for p := r.Start; p < r.End; p++ {
-			e := c.index[Key{File: file, Page: p}]
-			if e == nil {
+			i, ok := c.index[Key{File: file, Page: p}]
+			if !ok {
 				continue // defensive: runs and index are kept in lockstep
 			}
-			if dirtyOnly && !e.Value.(*frame).dirty {
+			if dirtyOnly && !c.frames[i].dirty {
 				continue
 			}
-			els = append(els, e)
+			idx = append(idx, i)
 		}
 	}
-	// Descending stamp = list front-to-back: the exact order the historical
-	// whole-list scan visited these frames, which fixes the write-back and
-	// eviction order the simulated devices observe.
-	sort.Slice(els, func(i, j int) bool {
-		return els[i].Value.(*frame).stamp > els[j].Value.(*frame).stamp
+	// Descending stamp = list front-to-back: the exact order a whole-list
+	// walk visits these frames, which fixes the write-back and eviction
+	// order the simulated devices observe. Stamps are unique.
+	slices.SortFunc(idx, func(a, b int32) int {
+		return cmp.Compare(c.frames[b].stamp, c.frames[a].stamp)
 	})
-	c.scratch = els
-	return els
+	c.scratch = idx
+	return idx
 }
 
 // InvalidateFile drops every page of the given file (used when a simulated
@@ -459,13 +580,11 @@ func (c *Cache) InvalidateFile(file uint64) {
 	if fi == nil {
 		return
 	}
-	for _, e := range c.collectFile(file, fi, false) {
-		f := e.Value.(*frame)
-		if f.dirty {
-			c.removeElement(e)
+	for _, i := range c.collectFile(file, fi, false) {
+		if c.frames[i].dirty {
+			c.evict(i)
 		} else {
-			c.order.Remove(e)
-			c.unindex(f)
+			c.drop(i)
 		}
 	}
 }
@@ -473,8 +592,8 @@ func (c *Cache) InvalidateFile(file uint64) {
 // FlushDirty invokes write for every dirty page (front-to-back) and marks
 // them clean. It models sync/write-back without eviction.
 func (c *Cache) FlushDirty(write func(Key, []byte)) {
-	for e := c.order.Front(); e != nil; e = e.Next() {
-		f := e.Value.(*frame)
+	for i := c.head; i != nilFrame; i = c.frames[i].next {
+		f := &c.frames[i]
 		if f.dirty {
 			if write != nil {
 				write(f.key, f.data)
@@ -495,8 +614,8 @@ func (c *Cache) FlushFile(file uint64, write func(Key, []byte)) {
 	if fi == nil || fi.dirty == 0 {
 		return
 	}
-	for _, e := range c.collectFile(file, fi, true) {
-		f := e.Value.(*frame)
+	for _, i := range c.collectFile(file, fi, true) {
+		f := &c.frames[i]
 		if write != nil {
 			write(f.key, f.data)
 		}
@@ -558,8 +677,8 @@ func (c *Cache) ResidentPages(file uint64) []Key {
 // used, to dst and returns it — RecencyTrace without the per-call
 // allocation, for harnesses that snapshot the cache repeatedly.
 func (c *Cache) AppendRecencyTrace(dst []Key) []Key {
-	for e := c.order.Front(); e != nil; e = e.Next() {
-		dst = append(dst, e.Value.(*frame).key)
+	for i := c.head; i != nilFrame; i = c.frames[i].next {
+		dst = append(dst, c.frames[i].key)
 	}
 	return dst
 }
@@ -567,5 +686,5 @@ func (c *Cache) AppendRecencyTrace(dst []Key) []Key {
 // RecencyTrace returns the resident keys from most to least recently used;
 // the experiment harness uses it to render the paper's Figure 3 table.
 func (c *Cache) RecencyTrace() []Key {
-	return c.AppendRecencyTrace(make([]Key, 0, c.order.Len()))
+	return c.AppendRecencyTrace(make([]Key, 0, c.n))
 }

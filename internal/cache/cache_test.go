@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -93,6 +94,63 @@ func TestClockSecondChance(t *testing.T) {
 	}
 	if !c.Contains(key(1)) {
 		t.Fatalf("referenced page 1 was not given a second chance")
+	}
+}
+
+// TestHoldPassesOverHeldVictim: a held frame that would be the victim
+// keeps its place and the frame before it goes instead, under every
+// policy; a held frame CLOCK would only rotate (referenced) rotates as
+// usual; Release and invalidation end the hold.
+func TestHoldPassesOverHeldVictim(t *testing.T) {
+	for _, pol := range []Policy{LRU, Clock, FIFO} {
+		var evicted []Key
+		c := New(3, pol, func(k Key, _ []byte, _ bool) { evicted = append(evicted, k) })
+		c.Insert(key(1), page(1), false)
+		c.Insert(key(2), page(2), false)
+		c.Insert(key(3), page(3), false)
+		if !c.Hold(key(1)) || c.Hold(key(9)) {
+			t.Fatalf("%s: Hold reports residency wrongly", pol)
+		}
+		c.Get(key(2))
+		c.Get(key(3)) // CLOCK: every frame but the held one is referenced
+		c.Insert(key(4), page(4), false)
+		// LRU and FIFO take the frame before the held one; CLOCK rotates
+		// 2 and 3 past the held 1, then takes 2.
+		if !reflect.DeepEqual(evicted, []Key{key(2)}) || !c.Contains(key(1)) {
+			t.Fatalf("%s: evicted %v, want [page 2] with page 1 kept", pol, evicted)
+		}
+		c.Hold(key(1)) // holds nest: one Release leaves it held
+		c.Release(key(1))
+		c.Insert(key(5), page(5), false)
+		if !c.Contains(key(1)) {
+			t.Fatalf("%s: page 1 evicted while still held once", pol)
+		}
+		c.Release(key(1))
+		c.Insert(key(6), page(6), false)
+		if got := evicted[len(evicted)-1]; pol != Clock && got != key(1) {
+			t.Fatalf("%s: released page 1 not evicted next, got %v", pol, got)
+		}
+	}
+
+	// A referenced held frame at CLOCK's hand rotates like any other.
+	var evicted []Key
+	c := New(2, Clock, func(k Key, _ []byte, _ bool) { evicted = append(evicted, k) })
+	c.Insert(key(1), page(1), false)
+	c.Insert(key(2), page(2), false)
+	c.Hold(key(1))
+	c.Get(key(1))
+	c.Insert(key(3), page(3), false)
+	if !reflect.DeepEqual(evicted, []Key{key(2)}) {
+		t.Fatalf("referenced held frame: evicted %v, want [page 2]", evicted)
+	}
+	// Invalidation drops a held frame, and its slot carries no hold: page
+	// 4 reuses it and, unreferenced at the hand, is the victim.
+	c.Invalidate(key(1))
+	c.Insert(key(4), page(4), false)
+	c.Get(key(3))
+	c.Insert(key(5), page(5), false)
+	if c.Contains(key(4)) || !c.Contains(key(3)) || !c.Contains(key(5)) {
+		t.Fatalf("slot reused after invalidating a held frame kept the hold: %v", c.RecencyTrace())
 	}
 }
 

@@ -13,11 +13,11 @@ import (
 // frames' dirty bits.
 func checkResidencyIndex(t *testing.T, c *Cache) {
 	t.Helper()
-	// Ground truth from the list (AppendRecencyTrace walks c.order).
+	// Ground truth from the recency list threaded through the slab.
 	resident := map[uint64]map[int64]bool{}
 	dirty := map[uint64]int{}
-	for e := c.order.Front(); e != nil; e = e.Next() {
-		f := e.Value.(*frame)
+	for i := c.head; i != nilFrame; i = c.frames[i].next {
+		f := c.frames[i]
 		if resident[f.key.File] == nil {
 			resident[f.key.File] = map[int64]bool{}
 		}

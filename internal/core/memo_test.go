@@ -49,14 +49,7 @@ func TestMemoDifferentialProperty(t *testing.T) {
 		t.Run(fmt.Sprintf("cap%d", capN), func(t *testing.T) {
 			f := func(ops []uint32, seed uint64, polSel uint8) bool {
 				pol := []cache.Policy{cache.LRU, cache.Clock, cache.FIFO}[int(polSel)%3]
-				// CLOCK gets a cache larger than the largest file for the
-				// same pre-existing vfs hazard TestQueryEquivalenceProperty
-				// documents; fragmentation comes from the invalidation op.
-				capacity := 48
-				if pol == cache.Clock {
-					capacity = 96
-				}
-				k, disk, tab := equivMachine(t, capacity, pol)
+				k, disk, tab := equivMachine(t, 48, pol)
 				tab.SetMemoCapacity(capN)
 				load := &fakeLoad{
 					depth: map[device.ID]int{},

@@ -80,16 +80,7 @@ func TestQueryEquivalenceProperty(t *testing.T) {
 			f := func(sizeSel uint8, tail uint16, reads []uint16, zoned, loaded bool, seed uint64) bool {
 				pages := int64(sizeSel%60) + 1
 				size := (pages-1)*testPage + int64(tail)%testPage + 1
-				// CLOCK gets a cache larger than the file: a pre-existing
-				// (and here irrelevant) vfs hazard lets a demand read's own
-				// cluster inserts evict the faulted page when rotation has
-				// every other frame referenced. Fragmented residency for
-				// CLOCK comes from the invalidation punches below instead.
-				capacity := 37
-				if pol == cache.Clock {
-					capacity = 64
-				}
-				k, disk, tab := equivMachine(t, capacity, pol)
+				k, disk, tab := equivMachine(t, 37, pol)
 				if zoned {
 					// Boundaries deliberately misaligned to the page size:
 					// a page straddling a zone must be classified by its
@@ -206,10 +197,8 @@ func hsmMachine(t testing.TB, cachePages int, pol cache.Policy, size int64) (k *
 // an HSM stager, driven through reads (stage-ins and cache churn), page
 // invalidations, fault observations on either level and clock advances
 // across penalty half-lives, must match the per-page scan after every
-// step. Both leave staged-but-not-resident ranges: LRU and FIFO get a
-// page cache smaller than the stager's disk area, and CLOCK gets one
-// larger than the file (the pre-existing vfs hazard
-// TestQueryEquivalenceProperty documents), relying on the invalidations. sameEntries
+// step. The page cache is smaller than the stager's disk area, which
+// leaves staged-but-not-resident ranges under every policy. sameEntries
 // gives tape and disk identical table entries, so only the per-device
 // samples tell their pages apart; missingDisk leaves the disk out of the
 // table, so any staged-but-not-resident page must raise the reference's
@@ -217,11 +206,7 @@ func hsmMachine(t testing.TB, cachePages int, pol cache.Policy, size int64) (k *
 func hsmEquiv(t *testing.T, pol cache.Policy, ops []uint16, zoned, loaded, sameEntries, missingDisk bool) {
 	size := int64(80 * testPage)
 	pages := size / testPage
-	capacity := 32
-	if pol == cache.Clock {
-		capacity = 96
-	}
-	k, tape, disk, tab := hsmMachine(t, capacity, pol, size)
+	k, tape, disk, tab := hsmMachine(t, 32, pol, size)
 	tapeEntry := Entry{Latency: 40, Bandwidth: 2 * (1 << 20)}
 	diskEntry := Entry{Latency: 18e-3, Bandwidth: 9 * (1 << 20)}
 	if sameEntries {

@@ -338,46 +338,6 @@ func (t *Table) SetLoad(l Load) {
 	t.cfgEpoch++
 }
 
-// underLoad inflates a device entry by its current queueing state at
-// virtual time now: the first byte cannot arrive before the in-flight
-// request drains and every queued request ahead is positioned, so
-//
-//	latency' = latency*(1+depth) + inFlightRemaining
-//
-// using the calibrated per-request latency as the service estimate for
-// each queued request (transfer sizes of queued requests are unknown to
-// the table, exactly as they are to a real kernel's estimator). Bandwidth
-// is unchanged: once flowing, the stream runs at device speed.
-func (t *Table) underLoad(id device.ID, e Entry, now simclock.Duration) Entry {
-	if t.load == nil {
-		return e
-	}
-	depth := t.load.QueueDepth(id)
-	rem := t.load.InFlightRemaining(id, now)
-	if depth == 0 && rem == 0 {
-		return e
-	}
-	e.Latency = e.Latency*float64(1+depth) + rem.Seconds()
-	return e
-}
-
-// deviceAt returns the entry in effect at a device byte offset, consulting
-// zones when installed.
-func (t *Table) deviceAt(id device.ID, off int64) (Entry, bool) {
-	if zs, ok := t.zones[id]; ok {
-		cur := zs[0].Entry
-		for _, z := range zs {
-			if z.FromByte > off {
-				break
-			}
-			cur = z.Entry
-		}
-		return cur, true
-	}
-	e, ok := t.devs[id]
-	return e, ok
-}
-
 // Devices returns the IDs with installed entries, in ascending ID
 // order so that callers iterating the result stay deterministic.
 func (t *Table) Devices() []device.ID {

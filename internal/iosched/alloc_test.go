@@ -1,12 +1,14 @@
 package iosched
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
 	"sleds/internal/device"
 	"sleds/internal/simclock"
 	"sleds/internal/vfs"
+	"sleds/internal/workload"
 )
 
 // costDev is a device with a fixed service cost that records nothing, so
@@ -106,5 +108,104 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// fileProg takes ops steps of kernel file I/O: 3/2-page reads of r at
+// scattered offsets, checked against r's content (want), alternating with
+// writes to w — partial patches and whole pages. rewind restarts it.
+type fileProg struct {
+	r, w     *vfs.File
+	want     []byte
+	buf      []byte
+	s, ops   int
+	i        int
+	lastRead int64 // offset of the read whose result arrives next; -1 after a write
+	bad      int   // reads that returned the wrong bytes
+}
+
+func (p *fileProg) rewind() { p.i, p.lastRead = 0, -1 }
+
+func (p *fileProg) Step(h *Handle, prev Result) Op {
+	if prev.Err != nil {
+		return Exit(prev.Err)
+	}
+	if p.lastRead >= 0 && !bytes.Equal(p.buf[:prev.N], p.want[p.lastRead:p.lastRead+int64(prev.N)]) {
+		p.bad++
+	}
+	if p.i == p.ops {
+		return Exit(nil)
+	}
+	p.i++
+	x := int64(p.s*2654435761 + p.i*40961)
+	if p.i%2 == 0 {
+		p.lastRead = x % (int64(len(p.want)) - int64(len(p.buf)))
+		return ReadAt(p.r, p.buf, p.lastRead)
+	}
+	p.lastRead = -1
+	pages := p.w.Size() / 4096
+	if p.i%3 == 0 {
+		return WriteAt(p.w, p.buf[:4096], x%pages*4096)
+	}
+	return WriteAt(p.w, p.buf[:200], x%pages*4096+x%3000)
+}
+
+// TestEngineFileIOSteadyStateAllocs is the engine-driven zero-alloc gate
+// of the kernel's read and write paths: Program streams issuing ReadAt
+// and WriteAt over a queued FCFS disk — faults that suspend on the queue,
+// evictions whose dirty write-backs suspend too, and cache hits —
+// allocate nothing once a run has grown the engine's and the kernel's
+// pools to their peak, and every read returns the file's bytes.
+func TestEngineFileIOSteadyStateAllocs(t *testing.T) {
+	const page = 4096
+	mem := device.NewMem(device.DefaultMemConfig(0))
+	k := vfs.NewKernel(vfs.Config{PageSize: page, CachePages: 64, MemDevice: mem})
+	k.AttachDevice(mem)
+	disk := k.AttachDevice(&costDev{id: 1, cost: 2 * simclock.Millisecond})
+	if err := k.MkdirAll("/d"); err != nil {
+		t.Fatal(err)
+	}
+	rc := workload.NewText(1, 96*page, page)
+	if _, err := k.Create("/d/r", disk, rc); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.Create("/d/w", disk, workload.NewText(2, 48*page, page)); err != nil {
+		t.Fatal(err)
+	}
+	want := rc.ReadAll()
+	e := NewEngine(k)
+	e.Queue(disk, NewScheduler("fcfs"))
+	var progs []*fileProg
+	for s := 0; s < 16; s++ {
+		r, _ := k.Open("/d/r")
+		w, _ := k.Open("/d/w")
+		p := &fileProg{r: r, w: w, want: want, buf: make([]byte, 3*page/2), s: s, ops: 24}
+		progs = append(progs, p)
+		e.AddStream(simclock.Duration(s%5)*simclock.Millisecond, p)
+	}
+	run := func() {
+		for _, p := range progs {
+			p.rewind()
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		run()
+	}
+	before := k.RunStats()
+	if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
+		t.Fatalf("%v allocations per run, want 0", allocs)
+	}
+	assertPoolDrained(t, e)
+	for _, p := range progs {
+		if p.bad != 0 {
+			t.Fatalf("stream %d: %d reads returned the wrong bytes", p.s, p.bad)
+		}
+	}
+	st := k.RunStats()
+	if st.Faults == before.Faults || st.PagesWrittenDev == before.PagesWrittenDev || st.CacheHits == before.CacheHits {
+		t.Fatalf("runs did not fault, write back and hit: %+v", st)
 	}
 }

@@ -17,12 +17,12 @@
 // resume-before-dispatch, then by stream ID (resumes) or device ID
 // (dispatches). Native streams are explicit state machines (Program), not
 // goroutines: a stream that issues I/O against a queued device suspends as
-// a continuation (vfs.IOStep) holding the in-progress kernel operation,
-// and the engine resumes it with the dispatch outcome when the device
-// completes the request. Program execution is single-threaded by
-// construction, and the per-stream cost is one heap entry plus one
-// continuation instead of a parked goroutine stack, which is what makes
-// 10,000-stream runs practical.
+// a vfs.IOStep naming the in-progress kernel operation (a pooled state
+// machine the kernel owns), and the engine resumes it with the dispatch
+// outcome when the device completes the request. Program execution is
+// single-threaded by construction, and the per-stream cost is one heap
+// entry plus one suspended step instead of a parked goroutine stack,
+// which is what makes 10,000-stream runs practical.
 //
 // Blocking stream code that predates the Program model (application code
 // shared with the single-process paths) rides the same heap through
@@ -521,7 +521,7 @@ func (e *Engine) runStream(st *stream, t simclock.Duration) {
 	haveStep := false
 	if st.state == stateBlocked {
 		// A resolved hedged read left its outcome in st.res (settleHedge)
-		// and has no kernel continuation — the hedged access is a raw
+		// and has no kernel operation to resume — the hedged access is a raw
 		// device op — so it falls through to the next Step call.
 		if r := st.req; r != nil {
 			devErr := r.Err
@@ -722,8 +722,8 @@ func (e *Engine) dispatch(dq *devQueue, t simclock.Duration) {
 
 // submit is called from inside a running stream (via a QueuedDevice) to
 // register a request with the engine. For a Program stream the access does
-// not complete here: the caller gets vfs.ErrBlocked, the resumable layer
-// captures the operation as a continuation, and the engine feeds the
+// not complete here: the caller gets vfs.ErrBlocked, the kernel's op
+// machine suspends and returns a blocked step, and the engine feeds the
 // dispatch outcome back in at completion time. For an fn stream the
 // calling goroutine parks until the request completes and the real
 // outcome is returned, so blocking code never sees vfs.ErrBlocked; the

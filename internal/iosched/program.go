@@ -234,14 +234,10 @@ func deviceStep(k *vfs.Kernel, id device.ID, off, length int64, write bool) vfs.
 		err = device.ReadErr(dev, k.Clock, off, length)
 	}
 	if errors.Is(err, vfs.ErrBlocked) {
-		return vfs.BlockedStep(deviceDone)
+		return vfs.BlockedStep()
 	}
 	return vfs.DoneStep(0, err)
 }
-
-// deviceDone is a suspended raw device access's continuation: the
-// dispatch outcome is the access's result.
-func deviceDone(devErr error) vfs.IOStep { return vfs.DoneStep(0, devErr) }
 
 // RunProgram executes a Program synchronously on the kernel's clock, with
 // no engine: every Op completes in place (there are no queued devices to

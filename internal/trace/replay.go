@@ -22,9 +22,11 @@ package trace
 // regions first avoids refaulting them from the device.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"sleds/internal/core"
@@ -283,8 +285,11 @@ func (s *streamReplay) orderBatch() {
 			}
 		}
 	}
-	sort.SliceStable(s.batch, func(i, j int) bool { return s.batch[i].est < s.batch[j].est })
+	slices.SortStableFunc(s.batch, byEst)
 }
+
+// byEst orders batch entries by estimated delivery time.
+func byEst(a, b recEst) int { return cmp.Compare(a.est, b.est) }
 
 // estimateDelivery returns the estimated seconds to deliver [off, off+n)
 // from the SLED covering off (latency to first byte plus transfer).

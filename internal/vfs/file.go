@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"sleds/internal/cache"
-	"sleds/internal/device"
 )
 
 // File is an open file descriptor over a simulated inode.
@@ -122,35 +121,29 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 // complete or suspended on a queued-device request for the engine to
 // service (see resume.go).
 func (f *File) ReadAtStep(p []byte, off int64) IOStep {
-	return f.readAtStep(p, off, true, ioDone)
+	return f.readAtStep(p, off, true, false)
 }
 
 // ReadAtMappedStep begins a resumable ReadAtMapped.
 func (f *File) ReadAtMappedStep(p []byte, off int64) IOStep {
-	return f.readAtStep(p, off, false, ioDone)
+	return f.readAtStep(p, off, false, false)
 }
 
 // ReadStep begins a resumable Read from the current position; the cursor
 // advances when the step completes.
 func (f *File) ReadStep(p []byte) IOStep {
-	return f.readAtStep(p, f.pos, true, func(n int64, err error) IOStep {
-		f.pos += n
-		return ioDone(n, err)
-	})
+	return f.readAtStep(p, f.pos, true, true)
 }
 
 // WriteAtStep begins a resumable WriteAt.
 func (f *File) WriteAtStep(p []byte, off int64) IOStep {
-	return f.writeAtStep(p, off, ioDone)
+	return f.writeAtStep(p, off, false)
 }
 
 // WriteStep begins a resumable Write at the current position; the cursor
 // advances when the step completes.
 func (f *File) WriteStep(p []byte) IOStep {
-	return f.writeAtStep(p, f.pos, func(n int64, err error) IOStep {
-		f.pos += n
-		return ioDone(n, err)
-	})
+	return f.writeAtStep(p, f.pos, true)
 }
 
 // ReadAtMapped is ReadAt without the user-space copy charge: the mmap
@@ -164,109 +157,129 @@ func (f *File) ReadAtMapped(p []byte, off int64) (int, error) {
 }
 
 func (f *File) readAt(p []byte, off int64, chargeCopy bool) (int, error) {
-	n, err := mustComplete(f.readAtStep(p, off, chargeCopy, ioDone), "read")
+	n, err := mustComplete(f.readAtStep(p, off, chargeCopy, false), "read")
 	return int(n), err
 }
 
-// readAtStep is readAt in resumable form: the per-page loop is an explicit
-// continuation so a page fault suspended on a queued device resumes where
-// it left off.
-func (f *File) readAtStep(p []byte, off int64, chargeCopy bool, done func(n int64, err error) IOStep) IOStep {
+// readAtStep starts readAt's machine (opRead); advance moves the cursor by
+// the result.
+func (f *File) readAtStep(p []byte, off int64, chargeCopy, advance bool) IOStep {
 	if f.closed {
-		return done(0, ErrClosed)
+		return DoneStep(0, ErrClosed)
 	}
 	if off < 0 {
-		return done(0, fmt.Errorf("vfs: negative read offset %d", off))
+		return DoneStep(0, fmt.Errorf("vfs: negative read offset %d", off))
 	}
 	if off >= f.ino.size {
-		return done(0, io.EOF)
+		return DoneStep(0, io.EOF)
 	}
 	want := int64(len(p))
 	if off+want > f.ino.size {
 		want = f.ino.size - off
 	}
-	ps := int64(f.k.cfg.PageSize)
 	f.clusterStart, f.clusterEnd = 0, 0
-	var got int64
-	var loop func() IOStep
-	loop = func() IOStep {
-		if got >= want {
-			// Copying from the page cache to the user buffer costs memory
-			// bandwidth (the paper notes read() "copies the data to meet
-			// application alignment criteria", unlike mmap).
-			if chargeCopy {
-				f.chargeMemCopy(got)
-			}
-			f.k.stats.BytesRead += got
-			if got < int64(len(p)) {
-				return done(got, io.EOF)
-			}
-			return done(got, nil)
-		}
-		cur := off + got
-		page := cur / ps
-		inPage := cur % ps
-		n := ps - inPage
-		if n > want-got {
-			n = want - got
-		}
-		return f.ensureResidentStep(page, want-got, func(data []byte, err error) IOStep {
-			if err != nil {
-				// Partial read up to the failed page; EIO surfaces to the app.
-				f.k.stats.BytesRead += got
-				return done(got, err)
-			}
-			copy(p[got:got+n], data[inPage:inPage+n])
-			got += n
-			return loop()
-		})
-	}
-	return loop()
+	op := f.k.newOp(opRead)
+	op.f, op.p, op.off, op.want = f, p, off, want
+	op.copyCharge, op.advance = chargeCopy, advance
+	return f.k.run(op, nil)
 }
 
-// ensureResidentStep hands done the cached data for a page, faulting it
-// (and, if the immediately following pages are part of the same request or
-// covered by configured readahead, a cluster) in from the device.
-//
-// remaining is how many more bytes the current read() still needs from
-// this page onward; contiguous missing pages within that window are
-// fetched in a single device request, which is how the real kernel
-// clusters paging I/O.
-//
-// A device fault is retried per the kernel's RetryPolicy; an error
-// (wrapping ErrIO) means the policy gave up. The step is resumable: the
-// cluster computation is synchronous, the device access and the per-page
-// inserts (whose evictions may suspend on write-back) are continuations.
-//
-// The data aliases a cache frame, valid only until the next cache
-// mutation: done must consume it before it inserts or evicts anything,
-// because evicted frames are recycled (see Kernel.newFrame).
-func (f *File) ensureResidentStep(page, remaining int64, done func(data []byte, err error) IOStep) IOStep {
+// nextPage positions a read or write loop on the page holding its next
+// byte: the page, the offset within it and the bytes it contributes.
+func (op *ioOp) nextPage() {
+	ps := int64(op.k.cfg.PageSize)
+	cur := op.off + op.got
+	op.page, op.inPage = cur/ps, cur%ps
+	op.span = min(ps-op.inPage, op.want-op.got)
+}
+
+// read serves the next page of a read from the cache, or faults it in.
+func (op *ioOp) read() {
+	f := op.f
+	if op.got >= op.want {
+		// Copying from the page cache to the user buffer costs memory
+		// bandwidth (the paper notes read() "copies the data to meet
+		// application alignment criteria", unlike mmap).
+		if op.copyCharge {
+			f.chargeMemCopy(op.got)
+		}
+		f.k.stats.BytesRead += op.got
+		if op.got < int64(len(op.p)) {
+			op.finish(op.got, io.EOF)
+			return
+		}
+		op.finish(op.got, nil)
+		return
+	}
+	op.nextPage()
+	if data, ok := f.cached(op.page); ok {
+		copy(op.p[op.got:op.got+op.span], data[op.inPage:op.inPage+op.span])
+		op.got += op.span
+		return
+	}
+	op.faultIn(op.want-op.got, opReadFaulted)
+}
+
+// readFaulted copies a faulted page out, or ends the read short of the
+// failed page; EIO surfaces to the app.
+func (op *ioOp) readFaulted() {
+	if op.err != nil {
+		op.f.k.stats.BytesRead += op.got
+		op.finish(op.got, op.err)
+		return
+	}
+	copy(op.p[op.got:op.got+op.span], op.data[op.inPage:op.inPage+op.span])
+	op.data = nil
+	op.got += op.span
+	op.state = opRead
+}
+
+// cached returns the page's data if it is resident, with hit accounting:
+// a page served by an asynchronous prefetch (possibly after waiting for it
+// to complete) counts as PrefetchedPages, and a page this very request's
+// cluster pulled in moments ago is not a cache hit in the measured sense.
+// A miss is recorded. The data aliases a cache frame, valid until the next
+// cache mutation.
+func (f *File) cached(page int64) ([]byte, bool) {
 	k := f.k
 	key := cache.Key{File: uint64(f.ino.ino), Page: page}
-	if data, ok := k.cache.Get(key); ok {
-		if k.waitIfPending(key) {
-			// Served by an asynchronous prefetch (possibly after waiting
-			// for it to complete); accounted as PrefetchedPages.
-			return done(data, nil)
-		}
-		// Pages pulled in by this very request's cluster are not cache
-		// hits in the measured sense; they were faulted moments ago.
-		if page < f.clusterStart || page >= f.clusterEnd {
-			k.stats.CacheHits++
-		}
-		return done(data, nil)
+	data, ok := k.cache.Get(key)
+	if !ok {
+		k.cache.RecordMiss()
+		return nil, false
 	}
-	k.cache.RecordMiss()
+	if !k.waitIfPending(key) && (page < f.clusterStart || page >= f.clusterEnd) {
+		k.stats.CacheHits++
+	}
+	return data, true
+}
 
+// faultIn calls the fault machine for the loop's current page, resuming
+// at next with the page's data (or the error) in the result registers.
+// remaining is how many more bytes the current request still needs from
+// this page onward.
+func (op *ioOp) faultIn(remaining int64, next opState) {
+	ps := int64(op.k.cfg.PageSize)
+	op.fPage, op.wantPages = op.page, (remaining+ps-1)/ps
+	op.call(opFault, next)
+}
+
+// fault starts faulting in a missing page — and, if the immediately
+// following pages are part of the same request or covered by configured
+// readahead, a cluster — from the device. Contiguous missing pages within
+// the request's window are fetched in a single device request, which is
+// how the real kernel clusters paging I/O. A device fault is retried per
+// the kernel's RetryPolicy; an error (wrapping ErrIO) means the policy
+// gave up.
+func (op *ioOp) fault() {
+	k, f, page := op.k, op.f, op.fPage
 	ps := int64(k.cfg.PageSize)
 	filePages := (f.ino.size + ps - 1) / ps
 
 	// Cluster: the missing pages this request needs, plus readahead,
 	// never more than the cache can hold (a larger cluster would evict
 	// its own leading pages before they are served).
-	wantPages := (remaining + ps - 1) / ps
-	cluster := wantPages + int64(k.cfg.ReadaheadPages)
+	cluster := op.wantPages + int64(k.cfg.ReadaheadPages)
 	if page+cluster > filePages {
 		cluster = filePages - page
 	}
@@ -298,137 +311,177 @@ func (f *File) ensureResidentStep(page, remaining int64, done func(data []byte, 
 			}
 		}
 	}
-
-	var issue func() error
+	op.run = run
+	a := devAccess{kind: accRead, dev: dev, off: start, length: length}
 	if k.stager != nil && k.stagedDevs[f.ino.dev] {
-		issue = func() error { return k.stager.Fetch(f.ino, start, length) }
-	} else {
-		issue = func() error { return device.ReadErr(dev, k.Clock, start, length) }
+		a = devAccess{kind: accStage, ino: f.ino, off: start, length: length}
 	}
-	return k.accessStep(issue, func(err error) IOStep {
-		if err != nil {
-			return done(nil, err)
-		}
-		q := page
-		var insertLoop func() IOStep
-		insertLoop = func() IOStep {
-			if q >= page+run {
-				// Demand-missed pages are hard faults; pure readahead beyond
-				// the requested window is accounted separately.
-				demand := run
-				if demand > wantPages {
-					k.stats.ReadaheadPages += demand - wantPages
-					demand = wantPages
-				}
-				k.stats.Faults += demand
-				f.clusterStart, f.clusterEnd = page, page+run
+	op.access(a, true, opFaultRead)
+}
 
-				data, ok := k.cache.Get(key)
-				if !ok {
-					panic("vfs: page vanished immediately after fault") //sledlint:allow panicpath -- cache invariant: the fault path just inserted this page
-				}
-				return done(data, nil)
-			}
-			buf := k.newFrame()
-			f.ino.content.ReadPage(q, buf)
-			qk := cache.Key{File: uint64(f.ino.ino), Page: q}
-			return k.insertStep(qk, buf, false, func(err error) IOStep {
-				if err != nil {
-					return done(nil, err)
-				}
-				q++
-				return insertLoop()
-			})
-		}
-		return insertLoop()
-	})
+// faultRead starts inserting the cluster a successful read brought in.
+func (op *ioOp) faultRead() {
+	if op.err != nil {
+		op.ret()
+		return
+	}
+	op.q = op.fPage
+	op.state = opFaultInsert
+}
+
+// faultInsert inserts the next cluster page (evictions may suspend on
+// write-back), or — the cluster in — serves the demanded page. The
+// demanded page is held against eviction from its insertion until it is
+// served, as the real kernel's page lock keeps it: otherwise a CLOCK
+// sweep that rotates every referenced page ahead of it would evict it to
+// make room for its own cluster.
+func (op *ioOp) faultInsert() {
+	k, f := op.k, op.f
+	if op.q < op.fPage+op.run {
+		buf := k.newFrame()
+		f.ino.content.ReadPage(op.q, buf)
+		op.ikey = cache.Key{File: uint64(f.ino.ino), Page: op.q}
+		op.ibuf, op.idirty = buf, false
+		op.call(opInsert, opFaultInserted)
+		return
+	}
+	// Demand-missed pages are hard faults; pure readahead beyond the
+	// requested window is accounted separately.
+	demand := op.run
+	if demand > op.wantPages {
+		k.stats.ReadaheadPages += demand - op.wantPages
+		demand = op.wantPages
+	}
+	k.stats.Faults += demand
+	f.clusterStart, f.clusterEnd = op.fPage, op.fPage+op.run
+
+	key := cache.Key{File: uint64(f.ino.ino), Page: op.fPage}
+	data, ok := k.cache.Get(key)
+	if !ok {
+		panic("vfs: page vanished immediately after fault") //sledlint:allow panicpath -- cache invariant: the fault path just inserted this page and held it
+	}
+	k.cache.Release(key)
+	op.data = data
+	op.ret()
+}
+
+// faultInserted moves on to the next cluster page, holding the demanded
+// one once it is in.
+func (op *ioOp) faultInserted() {
+	if op.err != nil {
+		op.k.cache.Release(cache.Key{File: uint64(op.f.ino.ino), Page: op.fPage})
+		op.ret()
+		return
+	}
+	if op.q == op.fPage {
+		op.k.cache.Hold(op.ikey)
+	}
+	op.q++
+	op.state = opFaultInsert
 }
 
 // WriteAt writes len(p) bytes at offset off, growing the file as needed.
 func (f *File) WriteAt(p []byte, off int64) (int, error) {
-	n, err := mustComplete(f.writeAtStep(p, off, ioDone), "write")
+	n, err := mustComplete(f.writeAtStep(p, off, false), "write")
 	return int(n), err
 }
 
-// writeAtStep is WriteAt in resumable form; the suspension points are the
-// read-modify-write page fault and write-backs of pages its insertions
-// evict.
-func (f *File) writeAtStep(p []byte, off int64, done func(n int64, err error) IOStep) IOStep {
+// writeAtStep starts WriteAt's machine (opWrite); advance moves the cursor
+// by the result. Its suspension points are the read-modify-write page
+// fault and write-backs of pages its insertions evict.
+func (f *File) writeAtStep(p []byte, off int64, advance bool) IOStep {
 	if f.closed {
-		return done(0, ErrClosed)
+		return DoneStep(0, ErrClosed)
 	}
 	if off < 0 {
-		return done(0, fmt.Errorf("vfs: negative write offset %d", off))
+		return DoneStep(0, fmt.Errorf("vfs: negative write offset %d", off))
 	}
 	dev := f.k.Devices.Get(f.ino.dev)
 	if ro, ok := dev.(interface{ ReadOnly() bool }); ok && ro.ReadOnly() {
-		return done(0, fmt.Errorf("vfs: %q on %q: %w", f.ino.name, dev.Info().Name, ErrReadOnly))
+		return DoneStep(0, fmt.Errorf("vfs: %q on %q: %w", f.ino.name, dev.Info().Name, ErrReadOnly))
 	}
 	if len(p) == 0 {
-		return done(0, nil)
+		return DoneStep(0, nil)
 	}
 	if err := f.k.ensureExtent(f.ino, off+int64(len(p))); err != nil {
-		return done(0, err)
+		return DoneStep(0, err)
 	}
+	op := f.k.newOp(opWrite)
+	op.f, op.p, op.off, op.want = f, p, off, int64(len(p))
+	op.advance = advance
+	return f.k.run(op, nil)
+}
 
-	ps := int64(f.k.cfg.PageSize)
-	var got int64
-	want := int64(len(p))
-	var loop func() IOStep
-	loop = func() IOStep {
-		if got >= want {
-			if off+want > f.ino.size {
-				f.ino.size = off + want
-			}
-			f.chargeMemCopy(want)
-			f.k.stats.BytesWritten += want
-			return done(want, nil)
+// write patches the next page of a write: in place when resident, into a
+// fresh frame when the write covers the page or lies beyond EOF, else by
+// read-modify-write.
+func (op *ioOp) write() {
+	f := op.f
+	k := f.k
+	if op.got >= op.want {
+		if op.off+op.want > f.ino.size {
+			f.ino.size = op.off + op.want
 		}
-		cur := off + got
-		page := cur / ps
-		inPage := cur % ps
-		n := ps - inPage
-		if n > want-got {
-			n = want - got
-		}
-
-		key := cache.Key{File: uint64(f.ino.ino), Page: page}
-		if data, ok := f.k.cache.Get(key); ok {
-			// Page resident: mutate in place.
-			copy(data[inPage:inPage+n], p[got:got+n])
-			f.k.cache.MarkDirty(key)
-			got += n
-			return loop()
-		}
-		if n == ps || cur >= f.ino.size {
-			// Full-page write, or write entirely beyond current EOF: no
-			// read needed; any EOF gap within the page is zero.
-			buf := make([]byte, ps)
-			if cur > f.ino.size && f.ino.size > page*ps {
-				// Part of this page below cur holds file data: fetch it.
-				f.ino.content.ReadPage(page, buf)
-			}
-			copy(buf[inPage:inPage+n], p[got:got+n])
-			return f.k.insertStep(key, buf, true, func(err error) IOStep {
-				if err != nil {
-					return done(got, err)
-				}
-				got += n
-				return loop()
-			})
-		}
-		// Partial overwrite of a non-resident page: read-modify-write.
-		return f.ensureResidentStep(page, n, func(data []byte, err error) IOStep {
-			if err != nil {
-				return done(got, err)
-			}
-			copy(data[inPage:inPage+n], p[got:got+n])
-			f.k.cache.MarkDirty(key)
-			got += n
-			return loop()
-		})
+		f.chargeMemCopy(op.want)
+		k.stats.BytesWritten += op.want
+		op.finish(op.want, nil)
+		return
 	}
-	return loop()
+	op.nextPage()
+	ps := int64(k.cfg.PageSize)
+	src := op.p[op.got : op.got+op.span]
+	key := cache.Key{File: uint64(f.ino.ino), Page: op.page}
+	if data, ok := k.cache.Get(key); ok {
+		// Page resident: mutate in place.
+		copy(data[op.inPage:], src)
+		k.cache.MarkDirty(key)
+		op.got += op.span
+		return
+	}
+	cur := op.off + op.got
+	if op.span == ps || cur >= f.ino.size {
+		// Full-page write, or write entirely beyond current EOF: no read
+		// needed; any EOF gap within the page is zero.
+		buf := k.newFrame()
+		if cur > f.ino.size && f.ino.size > op.page*ps {
+			// Part of this page below cur holds file data: fetch it.
+			f.ino.content.ReadPage(op.page, buf)
+		} else if op.span < ps {
+			clear(buf)
+		}
+		copy(buf[op.inPage:], src)
+		op.ikey, op.ibuf, op.idirty = key, buf, true
+		op.call(opInsert, opWriteInserted)
+		return
+	}
+	// Partial overwrite of a non-resident page: read-modify-write.
+	k.cache.RecordMiss()
+	op.faultIn(op.span, opWriteFaulted)
+}
+
+// writeInserted moves past a page that went in whole, or ends the write
+// short of it.
+func (op *ioOp) writeInserted() {
+	if op.err != nil {
+		op.finish(op.got, op.err)
+		return
+	}
+	op.got += op.span
+	op.state = opWrite
+}
+
+// writeFaulted patches a page read-modify-write brought in, or ends the
+// write short of it.
+func (op *ioOp) writeFaulted() {
+	if op.err != nil {
+		op.finish(op.got, op.err)
+		return
+	}
+	copy(op.data[op.inPage:], op.p[op.got:op.got+op.span])
+	op.data = nil
+	op.k.cache.MarkDirty(cache.Key{File: uint64(op.f.ino.ino), Page: op.page})
+	op.got += op.span
+	op.state = opWrite
 }
 
 // chargeMemCopy accounts the user/kernel copy cost as CPU time.

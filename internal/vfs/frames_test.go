@@ -134,15 +134,13 @@ func (c *coldFaulter) fault(t testing.TB) {
 }
 
 // TestColdFaultRecyclesFrame pins that a steady-state cold fault takes its
-// page frame from the free list instead of allocating one: what it still
-// allocates (the resumable path's continuations) is far less than a page.
+// page frame from the free list, its op from the kernel's pool and its
+// cache node from the slab: it allocates nothing.
 func TestColdFaultRecyclesFrame(t *testing.T) {
 	c := newColdFaulter(t)
 	before := c.f.k.RunStats().Faults
-	// The ceiling is the continuations of one fault; allocating a page
-	// buffer per fault would exceed it.
-	if allocs := testing.AllocsPerRun(200, func() { c.fault(t) }); allocs > 19 {
-		t.Errorf("cold fault: %v allocs, want <= 19", allocs)
+	if allocs := testing.AllocsPerRun(200, func() { c.fault(t) }); allocs != 0 {
+		t.Errorf("cold fault: %v allocs, want 0", allocs)
 	}
 	if got := c.f.k.RunStats().Faults - before; got != 201 {
 		t.Fatalf("%d faults over 201 reads, want every read to fault", got)

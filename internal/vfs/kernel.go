@@ -175,10 +175,15 @@ type Kernel struct {
 	// mutation's drain point writes them back (see resume.go).
 	wb []wbItem
 
-	// free holds evicted page frames for the fault and prefetch paths to
-	// refill (see newFrame): clean frames on eviction, dirty ones once
-	// their write-back has copied them into the file's content.
+	// free holds evicted page frames for the fault, write and prefetch
+	// paths to refill (see newFrame): clean frames on eviction, dirty ones
+	// once their write-back has copied them into the file's content.
 	free [][]byte
+
+	// ops is the pool of resumable I/O operations, indexed by slot, and
+	// opFree the slots not in use (see resume.go).
+	ops    []*ioOp
+	opFree []int32
 
 	stats RunStats
 }
@@ -292,22 +297,10 @@ func (k *Kernel) ChargeCPUBytes(n int64, bytesPerSec float64) {
 // table's health tracking hooks in here; nil detaches.
 func (k *Kernel) SetFaultObserver(fn func(*device.Fault)) { k.faultObs = fn }
 
-// deviceAccess runs one logical device access with the kernel's retry
-// policy: device faults are counted, reported to the fault observer, and
-// retried after capped exponential backoff (in virtual time, charged to
-// the current clock); when the policy gives up the access fails with a
-// wrapped ErrIO. Non-fault errors pass through untouched. This is the
-// synchronous driver of deviceAccessStep (see resume.go).
-func (k *Kernel) deviceAccess(fn func() error) error {
-	_, err := mustComplete(k.deviceAccessStep(fn, func(err error) IOStep {
-		return ioDone(0, err)
-	}), "device access")
-	return err
-}
-
 // onEvict is the cache's eviction callback: dirty pages are queued for
 // write-back to their device. The queue is drained immediately after the
-// cache mutation that triggered the eviction (insertStep, invalidation),
+// cache mutation that triggered the eviction (an op's insert machine, an
+// invalidation),
 // which keeps the write at the same virtual instant as the historical
 // write-during-eviction while letting the engine suspend mid-write-back.
 // Eviction is asynchronous write-back — there is no one to return an error
@@ -332,13 +325,14 @@ func (k *Kernel) onEvict(key cache.Key, data []byte, dirty bool) {
 
 // newFrame returns a page frame for a caller that overwrites all of it
 // (Content.ReadPage does): a recycled frame when one is free, else a fresh
-// one.
+// one. Its contents are arbitrary.
 func (k *Kernel) newFrame() []byte {
 	if n := len(k.free); n > 0 {
 		buf := k.free[n-1]
 		k.free = k.free[:n-1]
 		return buf
 	}
+	//sledlint:allow hotalloc -- pool growth: a fresh frame only while the cache fills, never once evictions recycle them
 	return make([]byte, k.cfg.PageSize)
 }
 
@@ -348,16 +342,6 @@ func (k *Kernel) recycleFrame(buf []byte) {
 	if len(k.free) < k.cache.Cap() {
 		k.free = append(k.free, buf)
 	}
-}
-
-// writePageToDevice stores page data into the inode's content and charges
-// the device write, with retries per the kernel policy — the synchronous
-// driver of writePageStep, used by sync(2)-family paths.
-func (k *Kernel) writePageToDevice(ino *Inode, page int64, data []byte) error {
-	_, err := mustComplete(k.writePageStep(ino, page, data, func(err error) IOStep {
-		return ioDone(0, err)
-	}), "page write-back")
-	return err
 }
 
 // allocExtent reserves size bytes of contiguous space on a device,

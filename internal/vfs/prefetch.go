@@ -101,9 +101,9 @@ func (k *Kernel) schedulePrefetch(dev device.Device, n *Inode, page, run int64) 
 		if k.stager != nil && k.stagedDevs[n.dev] {
 			// Prefetching through the HSM stager migrates on the background
 			// timeline too.
-			err = k.deviceAccess(func() error { return k.stager.Fetch(n, devOff, length) })
+			err = k.deviceAccess(devAccess{kind: accStage, ino: n, off: devOff, length: length})
 		} else {
-			err = k.deviceAccess(func() error { return device.ReadErr(dev, k.Clock, devOff, length) })
+			err = k.deviceAccess(devAccess{kind: accRead, dev: dev, off: devOff, length: length})
 		}
 	})
 	completion := scratch.Now()

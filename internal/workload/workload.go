@@ -157,10 +157,16 @@ func (c *Content) applyFragments(page int64, buf []byte) {
 	pageStart := page * int64(c.pageSize)
 	pageEnd := pageStart + int64(c.pageSize)
 	// Fragments are sorted; find the first that could intersect.
-	i := sort.Search(len(c.frags), func(i int) bool {
-		f := c.frags[i]
-		return f.off+int64(len(f.data)) > pageStart
-	})
+	lo, hi := 0, len(c.frags)
+	for lo < hi { // a closure-free sort.Search: the fault path runs it per page
+		m := int(uint(lo+hi) >> 1)
+		if f := c.frags[m]; f.off+int64(len(f.data)) > pageStart {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	i := lo
 	for ; i < len(c.frags); i++ {
 		f := c.frags[i]
 		if f.off >= pageEnd {
@@ -189,9 +195,14 @@ func (c *Content) WritePage(page int64, data []byte) {
 	if page < 0 {
 		panic(fmt.Sprintf("workload: negative page %d", page))
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	c.written[page] = cp
+	if cp, ok := c.written[page]; ok {
+		copy(cp, data) // a rewrite reuses the page's stored copy
+	} else {
+		//sledlint:allow hotalloc -- the first write of a page stores it; every later write-back of the page copies in place
+		cp = make([]byte, len(data))
+		copy(cp, data)
+		c.written[page] = cp
+	}
 	if end := (page + 1) * int64(c.pageSize); end > c.size {
 		// Writing past EOF extends the file, page-granular (the simulated
 		// FS trims via Resize when it knows the exact byte length).
